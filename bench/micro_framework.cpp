@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the framework itself: the costs a
 // tuner pays per step (space decode, constraint check, simulated
 // evaluation, neighbor generation) and the analysis building blocks
-// (GBDT fit, PageRank iteration).
+// (GBDT fit on continuous and on few-valued features, GBDT scoring,
+// PageRank iteration).
 //
 // The *Config / *Index pairs compare the seed Config-materializing hot
 // paths against the compiled index-space paths (CompiledSpace): neighbor
@@ -181,6 +182,38 @@ void BM_GbdtFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GbdtFit)->Arg(500)->Arg(2000);
+
+// The importance study's model on pnpoly's exhaustive sweep: few distinct
+// values per feature (31/11/4/3), the regime tree binning targets.
+ml::TrainTestSplit pnpoly_split() {
+  const auto bench = kernels::make("pnpoly");
+  const auto ds = core::Runner::run_exhaustive(*bench, 0);
+  return ml::train_test_split(ml::Matrix::from_rows(ds.feature_matrix()),
+                              ds.target_vector(), 0.25, 0x1396ULL);
+}
+
+void BM_GbdtFitDiscrete(benchmark::State& state) {
+  const auto split = pnpoly_split();
+  for (auto _ : state) {
+    ml::GbdtRegressor model;  // 300 trees
+    model.fit(split.x_train, split.y_train);
+    benchmark::DoNotOptimize(model.predict(split.x_test.row(0)));
+  }
+}
+BENCHMARK(BM_GbdtFitDiscrete)->Unit(benchmark::kMillisecond);
+
+// One PFI scoring pass: 300 trees over pnpoly's 1023 held-out rows.
+void BM_GbdtPredictAll(benchmark::State& state) {
+  const auto split = pnpoly_split();
+  ml::GbdtRegressor model;
+  model.fit(split.x_train, split.y_train);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.predict_all(split.x_test).front());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(split.x_test.rows()));
+}
+BENCHMARK(BM_GbdtPredictAll)->MeasureProcessCPUTime()->UseRealTime();
 
 void BM_PageRank(benchmark::State& state) {
   // Random DAG-ish graph with n nodes, ~8 out-edges each.

@@ -34,6 +34,7 @@ void GbdtRegressor::fit(const Matrix& x, std::span<const double> y,
       1, static_cast<std::size_t>(
              static_cast<double>(x.rows()) * params_.subsample));
 
+  const auto binned = BinnedMatrix::build(x);
   trees_.reserve(params_.num_trees);
   for (std::size_t t = 0; t < params_.num_trees; ++t) {
     for (std::size_t i = 0; i < target.size(); ++i) {
@@ -48,16 +49,13 @@ void GbdtRegressor::fit(const Matrix& x, std::span<const double> y,
                             }()
                           : rng.sample_indices(x.rows(), sample_size);
     RegressionTree tree;
-    tree.fit(x, residual, rows, params_.tree);
+    tree.fit(binned, residual, rows, params_.tree);
 
-    // Update running predictions over ALL rows (parallel: trees are
-    // sequential, but scoring a tree is embarrassingly parallel).
-    common::parallel_for_chunked(
-        0, x.rows(), [&](std::size_t lo, std::size_t hi, std::size_t) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            current[i] += params_.learning_rate * tree.predict(x.row(i));
-          }
-        });
+    // Update running predictions over ALL rows. Serial: scoring a few
+    // thousand rows costs less than a thread-pool handoff.
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      current[i] += params_.learning_rate * tree.predict(x.row(i));
+    }
     trees_.push_back(std::move(tree));
   }
 }

@@ -29,7 +29,8 @@ class GbdtRegressor {
 
   /// Fits on a log-transformed copy of y when `log_target` is set — run
   /// times span orders of magnitude, and CatBoost-style fits behave far
-  /// better on log(time).
+  /// better on log(time). Every feature in x must be finite (NaN or
+  /// +-inf throws ContractViolation); x is binned once per fit.
   void fit(const Matrix& x, std::span<const double> y, bool log_target = true);
 
   [[nodiscard]] double predict(std::span<const double> features) const;
@@ -39,6 +40,9 @@ class GbdtRegressor {
   [[nodiscard]] const GbdtParams& params() const noexcept { return params_; }
   [[nodiscard]] std::size_t num_trees() const noexcept {
     return trees_.size();
+  }
+  [[nodiscard]] std::span<const RegressionTree> trees() const noexcept {
+    return trees_;
   }
 
  private:

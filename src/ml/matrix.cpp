@@ -1,5 +1,9 @@
 #include "ml/matrix.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 namespace bat::ml {
 
 Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
@@ -21,6 +25,33 @@ Matrix Matrix::with_permuted_column(
     out(r, c) = (*this)(perm[r], c);
   }
   return out;
+}
+
+BinnedMatrix BinnedMatrix::build(const Matrix& x) {
+  BAT_EXPECTS(x.rows() <= std::numeric_limits<std::uint32_t>::max());
+  BinnedMatrix b;
+  b.rows_ = x.rows();
+  b.values_.resize(x.cols());
+  b.codes_.resize(x.rows() * x.cols());
+  std::vector<double> column(x.rows());
+  for (std::size_t f = 0; f < x.cols(); ++f) {
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      column[r] = x(r, f);
+      BAT_EXPECTS(std::isfinite(column[r]));
+    }
+    auto& values = b.values_[f];
+    values = column;
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    b.max_bins_ = std::max(b.max_bins_, values.size());
+    auto* codes = b.codes_.data() + f * b.rows_;
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      codes[r] = static_cast<std::uint32_t>(
+          std::lower_bound(values.begin(), values.end(), column[r]) -
+          values.begin());
+    }
+  }
+  return b;
 }
 
 TrainTestSplit train_test_split(const Matrix& x, std::span<const double> y,

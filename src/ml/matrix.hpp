@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -43,6 +44,36 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
+};
+
+/// A matrix's features pre-binned for exact split search: per column, the
+/// sorted distinct values, and per row the index (bin code) of its value
+/// among them, stored column-major. Values equal under `==` (including
+/// -0.0 and 0.0) share a bin, so `values(f)[codes(f)[r]] == x(r, f)`.
+class BinnedMatrix {
+ public:
+  /// Bins every column of x. Features must be finite: sorting NaN is
+  /// undefined, so NaN or +-inf anywhere throws ContractViolation.
+  static BinnedMatrix build(const Matrix& x);
+
+  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t cols() const noexcept { return values_.size(); }
+  [[nodiscard]] std::size_t max_bins() const noexcept { return max_bins_; }
+
+  /// Sorted distinct values of column f.
+  [[nodiscard]] std::span<const double> values(std::size_t f) const {
+    return values_[f];
+  }
+  /// Bin code of every row in column f.
+  [[nodiscard]] std::span<const std::uint32_t> codes(std::size_t f) const {
+    return {codes_.data() + f * rows_, rows_};
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t max_bins_ = 0;
+  std::vector<std::vector<double>> values_;
+  std::vector<std::uint32_t> codes_;  // column-major, rows_ per column
 };
 
 struct TrainTestSplit {

@@ -1,5 +1,23 @@
 // CART regression tree with exact splits over the (few, discrete)
 // distinct values each feature takes in BAT datasets.
+//
+// Split search is exact: every boundary between two adjacent distinct
+// values of every feature is scored, exactly as a per-node sort of
+// (value, target) pairs would score it. It works from pre-binned
+// features (BinnedMatrix) instead of sorting inside every node:
+//
+//   * the sampled rows are sorted by target once per tree, and the node
+//     partition keeps that list target-sorted inside every node;
+//   * per node and feature, a counting sort of that list by bin code
+//     yields the (value ascending, target ascending) sequence a full
+//     sort would, in O(n_node + bins) instead of O(n_node log n_node),
+//     so a node costs O(F * (n_node + bins)).
+//
+// Prefix sums, boundary tests, tie-breaks, thresholds and node means are
+// accumulated in the same order as the sort-per-node builder, so the
+// trees are bit-identical to it (tests/ml_test.cpp keeps that builder as
+// an oracle). Per-bin sums would be cheaper still but reorder the
+// floating-point additions and flip near-tied splits.
 #pragma once
 
 #include <cstddef>
@@ -18,9 +36,22 @@ struct TreeParams {
 
 class RegressionTree {
  public:
+  struct Node {
+    double value_or_threshold = 0.0;  // leaf prediction, or go left if
+                                      // value <= threshold
+    int feature = -1;                 // -1 => leaf
+    int left = -1;                    // children at left and left + 1
+  };
+  struct Split {
+    int feature = -1;
+    double gain = 0.0;  // squared-error gain of the split
+  };
+
   /// Fits on the rows of x listed in `sample_rows` (gradient targets in
-  /// `y`, aligned with x's rows).
+  /// `y`, aligned with x's rows). Bins x, then fits on the bins.
   void fit(const Matrix& x, std::span<const double> y,
+           std::span<const std::size_t> sample_rows, const TreeParams& params);
+  void fit(const BinnedMatrix& x, std::span<const double> y,
            std::span<const std::size_t> sample_rows, const TreeParams& params);
 
   [[nodiscard]] double predict(std::span<const double> features) const;
@@ -29,26 +60,21 @@ class RegressionTree {
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
+  [[nodiscard]] std::span<const Node> nodes() const noexcept {
+    return nodes_;
+  }
+  /// One entry per internal node, in preorder (node, left, right).
+  [[nodiscard]] std::span<const Split> splits() const noexcept {
+    return splits_;
+  }
 
   /// Total squared-error gain contributed by splits on each feature
   /// (tree-internal importance; PFI is computed separately).
   [[nodiscard]] std::vector<double> split_gains(std::size_t num_features) const;
 
  private:
-  struct Node {
-    int feature = -1;          // -1 => leaf
-    double threshold = 0.0;    // go left if value <= threshold
-    double value = 0.0;        // leaf prediction
-    double gain = 0.0;         // split gain (internal nodes)
-    int left = -1;
-    int right = -1;
-  };
-
-  int build(const Matrix& x, std::span<const double> y,
-            std::vector<std::size_t>& rows, std::size_t begin,
-            std::size_t end, int depth, const TreeParams& params);
-
   std::vector<Node> nodes_;
+  std::vector<Split> splits_;
 };
 
 }  // namespace bat::ml

@@ -67,12 +67,15 @@ SAN_DIR="${BUILD_DIR}-asan"
 # obs_metrics_test renders the Prometheus exposition from concurrently
 # mutated instruments; api_http_test walks the trace ring through the
 # JSON serializer — both read shared buffers a bad index would corrupt.
+# ml_test, tuners_test and analysis_test drive the GBDT tree builder,
+# whose counting sort indexes per-bin offset arrays by bin code: an
+# off-by-one there is a silent over-read in a release build.
 SAN_TESTS=(core_backend_test core_dataset_evaluator_test
            common_thread_pool_test core_compiled_space_test
            io_dataset_test common_json_test net_http_test
            net_rate_limit_test cluster_test io_journal_test
            service_recovery_test jit_backend_test jit_artifact_cache_test
-           obs_metrics_test api_http_test)
+           obs_metrics_test api_http_test ml_test tuners_test analysis_test)
 cmake -B "${SAN_DIR}" -S . -DCMAKE_BUILD_TYPE=Debug -DBAT_SANITIZE=ON
 cmake --build "${SAN_DIR}" -j "${JOBS}" --target "${SAN_TESTS[@]}"
 for t in "${SAN_TESTS[@]}"; do
@@ -596,7 +599,7 @@ if echo "${SAN_TARGETS}" \
     | grep -q '^\.\.\. micro_framework\|^micro_framework'; then
   cmake --build "${SAN_DIR}" -j "${JOBS}" --target micro_framework
   "${SAN_DIR}/micro_framework" \
-      --benchmark_filter='Neighbors|FfgBuild|BatchEvaluateReplay|HttpParseRequest|SessionResultToJson' \
+      --benchmark_filter='Neighbors|FfgBuild|Gbdt|BatchEvaluateReplay|HttpParseRequest|SessionResultToJson' \
       --benchmark_min_time=0.05
 
   echo "=== io perf data points (BENCH_io.json) ==="
