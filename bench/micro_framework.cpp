@@ -33,6 +33,7 @@
 #include "ml/gbdt.hpp"
 #include "net/http.hpp"
 #include "service/session_json.hpp"
+#include "service/session_log.hpp"
 #include "service/sharded_cache.hpp"
 
 namespace {
@@ -471,6 +472,62 @@ void BM_CacheSharded16Threads(benchmark::State& state) {
 BENCHMARK(BM_CacheUncontended);
 BENCHMARK(BM_CacheSingleMutex16Threads)->Threads(16)->UseRealTime();
 BENCHMARK(BM_CacheSharded16Threads)->Threads(16)->UseRealTime();
+
+// -------------------------------------------------------- session journal --
+// service::SessionLog at retention steady state: retain 256, then 768
+// journaled results of 200 trace entries (three retentions' worth), each
+// after its submit, as a journaled `tune serve` records them. The
+// journal lives under the build tree rather than the temp root, which
+// may be a tmpfs where fsync costs nothing. Time is process CPU, so the
+// checkpoint rewrites' encode/CRC/write work counts and fsync waits do
+// not; `cpu_per_result` is that CPU divided by the results, and
+// `checkpoints` what one round of 768 results triggered.
+
+void BM_SessionLogSteadyState(benchmark::State& state) {
+  constexpr std::uint64_t kResults = 768;
+  constexpr std::size_t kEntries = 200;
+  service::SessionSpec spec;
+  spec.kernel = "gemm";
+  spec.tuner = "random";
+  spec.budget = kEntries;
+  spec.backend = "replay";
+  std::vector<service::SessionResult> results(kResults);
+  for (std::uint64_t id = 1; id <= kResults; ++id) {
+    auto& result = results[id - 1];
+    result.spec = spec;
+    result.status = service::SessionStatus::kCompleted;
+    for (std::size_t i = 0; i < kEntries; ++i) {
+      result.run.trace.push_back(
+          {id * 977 + i, 10.0 + 0.001 * static_cast<double>(i)});
+    }
+  }
+  const auto dir =
+      std::filesystem::path(BAT_BENCH_BUILD_DIR) / "bat_micro_session_log";
+  std::uint64_t checkpoints = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    state.ResumeTiming();
+    service::SessionLogOptions options;
+    options.dir = dir.string();
+    options.retain_completed = 256;
+    service::SessionLog log(options);
+    for (std::uint64_t id = 1; id <= kResults; ++id) {
+      log.record_submit(id, spec);
+      benchmark::DoNotOptimize(log.record_result(id, results[id - 1]));
+    }
+    checkpoints = log.stats().checkpoints;
+  }
+  std::filesystem::remove_all(dir);
+  state.counters["cpu_per_result"] = benchmark::Counter(
+      static_cast<double>(kResults),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.counters["checkpoints"] = static_cast<double>(checkpoints);
+}
+BENCHMARK(BM_SessionLogSteadyState)
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------ jit backend --
 // The three regimes of the compiled-kernel backend, one benchmark each:

@@ -168,6 +168,7 @@ void Journal::open_for_append(std::uint64_t truncate_to, bool created) {
     fsync_or_throw(fd_, path_);
     fsync_parent_dir(path_);
     stats_.file_bytes = header.size();
+    stats_.bytes_written = header.size();
     return;
   }
   // Torn tail: cut the file back to its last valid record so a stale
@@ -238,6 +239,7 @@ void Journal::flush_locked(std::unique_lock<std::mutex>& lock) {
   lock.lock();
   committed_seq_ = covers;
   stats_.file_bytes += out.size();
+  stats_.bytes_written += out.size();
   ++stats_.commits;
   flushing_ = false;
   flushed_cv_.notify_all();
@@ -287,6 +289,7 @@ void Journal::checkpoint(const std::vector<JournalRecord>& records) {
   committed_seq_ = appended_seq_;
   failed_ = false;
   stats_.file_bytes = bytes.size();
+  stats_.bytes_written += bytes.size();
   ++stats_.checkpoints;
   ++stats_.commits;
 }

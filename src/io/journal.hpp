@@ -88,6 +88,10 @@ class Journal {
     std::uint64_t commits = 0;           // fsyncs issued (group commits)
     std::uint64_t checkpoints = 0;
     std::uint64_t file_bytes = 0;        // bytes durably on disk
+    /// This instance's writes: the header of a file it created, flushed
+    /// appends and checkpoint rewrites (write amplification is this
+    /// over the bytes appended).
+    std::uint64_t bytes_written = 0;
   };
 
   /// Opens `path` for appending: creates it (header + fsync, and an

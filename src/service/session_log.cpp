@@ -276,6 +276,10 @@ SessionLog::SessionLog(SessionLogOptions options)
   bridge("bat_journal_checkpoints_total", "Compacting checkpoints",
          CallbackKind::kCounter,
          [](const io::Journal& j) { return j.stats().checkpoints; });
+  bridge("bat_journal_bytes_written_total",
+         "Bytes written: header, flushed appends, checkpoint rewrites",
+         CallbackKind::kCounter,
+         [](const io::Journal& j) { return j.stats().bytes_written; });
 }
 
 void SessionLog::record_submit(std::uint64_t id, const SessionSpec& spec) {
@@ -321,14 +325,23 @@ std::vector<std::uint64_t> SessionLog::record_result(
     commit_duration_->observe(
         static_cast<double>(obs::monotonic_now_ns() - start_ns) / 1e9);
 #endif
-    if (journal_->stats().file_bytes <= options_.checkpoint_bytes) return {};
+    if (!checkpoint_due()) return {};
   }
   std::unique_lock log(log_mutex_);
   // Re-check under the exclusive lock: a concurrent record_result may
   // already have compacted the file while we waited.
-  if (journal_->stats().file_bytes <= options_.checkpoint_bytes) return {};
+  if (!checkpoint_due()) return {};
   std::lock_guard lock(mutex_);
   return checkpoint_locked();
+}
+
+bool SessionLog::checkpoint_due() const {
+  // Compared as a difference: adding checkpoint_bytes to the base
+  // could overflow, and the first test keeps the subtraction from
+  // underflowing.
+  const std::uint64_t file_bytes = journal_->stats().file_bytes;
+  return file_bytes > checkpoint_base_bytes_ &&
+         file_bytes - checkpoint_base_bytes_ > options_.checkpoint_bytes;
 }
 
 std::vector<std::uint64_t> SessionLog::checkpoint() {
@@ -376,6 +389,7 @@ std::vector<std::uint64_t> SessionLog::checkpoint_locked() {
     }
   }
   journal_->checkpoint(records);
+  checkpoint_base_bytes_ = journal_->stats().file_bytes;
   evicted_completed_ += evicted.size();
   return evicted;
 }

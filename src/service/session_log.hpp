@@ -24,14 +24,22 @@
 // A torn or corrupt journal tail is dropped by the io::Journal layer:
 // the surviving record prefix is authoritative.
 //
-// Checkpoint + truncate: the log keeps at most `retain_completed`
-// completed sessions. When the file outgrows `checkpoint_bytes`, it is
-// atomically rewritten with only the pending sessions plus the most
-// recent retained completed ones — record_result returns the evicted
-// ids so the owner can drop them from its in-memory registry too
-// (after a restart they are simply unknown). The rewrite preserves
-// replay semantics exactly: replaying a checkpointed journal yields
-// the same logical state as replaying the original
+// Checkpoint + truncate: once more than `checkpoint_bytes` have been
+// appended since the last checkpoint (before the first, once the file
+// itself exceeds `checkpoint_bytes`), the file is atomically rewritten
+// with only the pending sessions plus the `retain_completed` most
+// recent completed ones — record_result returns the evicted ids so
+// the owner can drop them from its in-memory registry too (after a
+// restart they are simply unknown). Triggering on bytes appended
+// rather than on file size amortises the O(retained) rewrite over a
+// threshold's worth of appends, so a result never pays a full rewrite
+// just because the retained state alone exceeds the threshold. The
+// file stays below the retained state plus `checkpoint_bytes` plus the
+// records appended while a due checkpoint takes its lock (one, with a
+// single writer); between checkpoints up to one threshold's worth of
+// extra completed sessions stays fetchable. The rewrite preserves replay
+// semantics exactly: replaying a checkpointed journal yields the same
+// logical state as replaying the original
 // (tests/service_recovery_test.cpp proves the equivalence).
 //
 // Thread-safety: all methods are safe to call concurrently. Two locks
@@ -66,11 +74,13 @@ struct SessionLogOptions {
   /// itself is `dir`/sessions.batjnl.
   std::string dir;
   /// Completed sessions retained across checkpoints; older ones are
-  /// evicted (their ids become unknown). Pending sessions are always
-  /// retained — durability of unfinished work is the whole point.
+  /// evicted at the next checkpoint (their ids become unknown).
+  /// Pending sessions are always retained — durability of unfinished
+  /// work is the whole point.
   std::size_t retain_completed = 1024;
-  /// Journal size that triggers a compacting checkpoint on the next
-  /// record_result.
+  /// Bytes appended since the last checkpoint past which the next
+  /// record_result compacts (before the first checkpoint, the file
+  /// size counts); 1 compacts after every result.
   std::uint64_t checkpoint_bytes = 256 * 1024;
   /// Registry hosting the bat_journal_* series; null makes a private
   /// one. The counters are scrape-time bridges over io::Journal::stats
@@ -165,6 +175,9 @@ class SessionLog {
 
   /// Requires log_mutex_ held exclusive and mutex_ held.
   [[nodiscard]] std::vector<std::uint64_t> checkpoint_locked();
+  /// Whether the bytes appended since the last checkpoint exceed
+  /// checkpoint_bytes. Requires log_mutex_ held (shared suffices).
+  [[nodiscard]] bool checkpoint_due() const;
 
   SessionLogOptions options_;
   std::unique_ptr<io::Journal> journal_;
@@ -180,6 +193,11 @@ class SessionLog {
   mutable std::mutex mutex_;
   std::map<std::uint64_t, Entry> sessions_;  // journal's logical content
   std::uint64_t evicted_completed_ = 0;
+  /// File size the last checkpoint left (0 before the first). Written
+  /// only by checkpoint_locked, under log_mutex_ exclusive, and read
+  /// only under log_mutex_ shared or exclusive — race-free without a
+  /// lock of its own.
+  std::uint64_t checkpoint_base_bytes_ = 0;
 
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   obs::Histogram* commit_duration_ = nullptr;

@@ -100,9 +100,11 @@ struct ServiceOptions {
   /// original ids. docs/durability.md is the full contract.
   std::string journal_dir;
   /// Completed sessions the journal retains across checkpoints; older
-  /// ones are evicted from the registry (their ids 404 after that).
+  /// ones are evicted from the registry at the next checkpoint (their
+  /// ids 404 after that).
   std::size_t journal_retain_completed = 1024;
-  /// Journal size that triggers a compacting checkpoint + truncate.
+  /// Bytes appended to the journal since its last checkpoint past
+  /// which a compacting checkpoint + truncate runs.
   std::uint64_t journal_checkpoint_bytes = 256 * 1024;
   /// Artifact cache directory for "jit" workloads. "" uses the shared
   /// per-user directory under the system temp root, which is what makes

@@ -11,6 +11,8 @@
 //  * checkpoint() atomically replaces the file with the compacted
 //    record set (replay equivalence + smaller file), and appends after
 //    a checkpoint land on the new file;
+//  * stats().bytes_written counts every byte written — header,
+//    flushed appends and checkpoint rewrites;
 //  * concurrent appenders group-commit without losing or reordering
 //    any thread's records (tools/ci.sh runs this binary under TSan).
 #include <gtest/gtest.h>
@@ -285,6 +287,32 @@ TEST(Journal, CheckpointReplacesContentsAtomically) {
   const auto after = Journal::replay(path);
   ASSERT_EQ(after.records.size(), 3u);
   EXPECT_EQ(after.records[2].payload, "post-checkpoint");
+}
+
+TEST(Journal, BytesWrittenCountsHeaderAppendsAndCheckpointRewrites) {
+  const std::string path = temp_journal_path("bytes_written");
+  const std::vector<JournalRecord> records = sample_records();
+  {
+    Journal journal(path);
+    EXPECT_EQ(journal.stats().bytes_written, kJournalHeaderBytes);
+    for (const auto& record : records) {
+      journal.append(record.type, record.payload);
+    }
+    EXPECT_EQ(journal.stats().bytes_written, kJournalHeaderBytes);
+    journal.commit();
+    const std::uint64_t full = journal_bytes_for(records).size();
+    EXPECT_EQ(journal.stats().bytes_written, full);
+    // A checkpoint writes its whole compacted file, on top of the
+    // bytes already written: write amplification, not file size.
+    const std::vector<JournalRecord> compacted = {records[1]};
+    journal.checkpoint(compacted);
+    EXPECT_EQ(journal.stats().bytes_written,
+              full + journal_bytes_for(compacted).size());
+    EXPECT_EQ(journal.stats().file_bytes, journal_bytes_for(compacted).size());
+  }
+  // Reopening writes nothing: the counter is per instance.
+  Journal reopened(path);
+  EXPECT_EQ(reopened.stats().bytes_written, 0u);
 }
 
 TEST(Journal, ConcurrentAppendersGroupCommitWithoutLoss) {

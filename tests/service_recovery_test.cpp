@@ -8,7 +8,9 @@
 //  * replay is idempotent: a third boot of the same journal yields the
 //    same registry as the second;
 //  * checkpoint + truncate preserves replay semantics while evicting
-//    the oldest completed sessions and bounding the file;
+//    the oldest completed sessions and bounding the file; checkpoints
+//    fire per checkpoint_bytes appended, not per result, and the
+//    retention slack between them is bounded;
 //  * exhaustive fault injection over a real session journal
 //    (tests/fault_util.hpp): every truncation point and every
 //    single-byte flip recovers a strict record prefix of the logical
@@ -18,7 +20,9 @@
 // tools/ci.sh's durability stage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <stdexcept>
@@ -291,6 +295,141 @@ TEST(ServiceRecovery, ConcurrentSubmitsRacingCheckpointsReplayExactlyOnce) {
     EXPECT_EQ(log.completed()[i].id, i + 1);  // each id exactly once
   }
   EXPECT_EQ(log.next_id(), kThreads * kPerThread + 1);
+}
+
+// A terminal result with an `entries`-long trace, unique per id, with
+// objectives whose mantissas use every bit (so "bit-equal" means it).
+SessionResult traced_result(std::uint64_t id, std::size_t entries) {
+  SessionResult result;
+  result.spec = grid_specs(1)[0];
+  result.status = SessionStatus::kCompleted;
+  result.run.trace.reserve(entries);
+  for (std::size_t i = 0; i < entries; ++i) {
+    result.run.trace.push_back(
+        {id * 1000 + i, 1.0 / static_cast<double>(id * 7 + i + 3)});
+  }
+  return result;
+}
+
+/// Framed journal bytes of one submit + result pair.
+std::uint64_t pair_bytes(std::uint64_t id, const SessionResult& result) {
+  return io::frame_journal_record(
+             SessionLog::kSubmitRecord,
+             SessionLog::encode_submit(id, result.spec))
+             .size() +
+         io::frame_journal_record(SessionLog::kResultRecord,
+                                  SessionLog::encode_result(id, result))
+             .size();
+}
+
+TEST(ServiceRecovery, CheckpointsAmortiseOverBytesAppended) {
+  // Regression: checkpoints once fired whenever the *file* exceeded
+  // checkpoint_bytes, so once the retained state alone was past it,
+  // every result rewrote all of it (~178 checkpoints for this round,
+  // journal traffic quadratic in the retained sessions). Now a
+  // checkpoint needs checkpoint_bytes appended since the last one.
+  const std::string dir = fresh_dir("recovery_amortised");
+  SessionLogOptions options;
+  options.dir = dir;  // default retain_completed and checkpoint_bytes
+  constexpr std::uint64_t kSessions = 256;
+  constexpr std::size_t kEntries = 200;
+  std::uint64_t appended_bytes = 0;
+  {
+    SessionLog log(options);
+    for (std::uint64_t id = 1; id <= kSessions; ++id) {
+      const SessionResult result = traced_result(id, kEntries);
+      log.record_submit(id, result.spec);
+      EXPECT_TRUE(log.record_result(id, result).empty());  // retain 1024
+      appended_bytes += pair_bytes(id, result);
+    }
+    const auto stats = log.stats();
+    ASSERT_GT(appended_bytes, 2 * options.checkpoint_bytes);
+    EXPECT_GE(stats.checkpoints, 1u);
+    EXPECT_LE(stats.checkpoints,
+              appended_bytes / options.checkpoint_bytes + 1);
+  }
+  SessionLog log(options);
+  EXPECT_TRUE(log.pending().empty());
+  ASSERT_EQ(log.completed().size(), kSessions);
+  for (std::uint64_t i = 0; i < kSessions; ++i) {
+    const auto& done = log.completed()[i];
+    ASSERT_EQ(done.id, i + 1);
+    const auto want = traced_result(done.id, kEntries);
+    ASSERT_EQ(done.result.run.trace.size(), kEntries);
+    for (std::size_t e = 0; e < kEntries; ++e) {
+      const auto& got = done.result.run.trace[e];
+      EXPECT_EQ(got.index, want.run.trace[e].index);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.objective),
+                std::bit_cast<std::uint64_t>(want.run.trace[e].objective))
+          << "id " << done.id << " entry " << e;
+    }
+  }
+}
+
+TEST(ServiceRecovery, RetentionSlackIsBoundedAndEvictsOldestFirst) {
+  // Between checkpoints, completed sessions past retain_completed stay
+  // fetchable; the slack is bounded by one threshold's worth of results
+  // and every checkpoint (automatic or explicit) evicts the oldest ids
+  // down to exactly retain_completed.
+  const std::string dir = fresh_dir("recovery_slack");
+  constexpr std::size_t kRetain = 4;
+  constexpr std::uint64_t kPerThreshold = 3;
+  constexpr std::size_t kEntries = 16;
+  SessionLogOptions options;
+  options.dir = dir;
+  options.retain_completed = kRetain;
+  // Every pair frames to the same size: fixed-width ids, one spec.
+  options.checkpoint_bytes =
+      kPerThreshold * pair_bytes(1, traced_result(1, kEntries));
+
+  // Completed ids the owner still holds, ascending: what a
+  // TuningService's registry keeps after dropping the evicted ids.
+  std::vector<std::uint64_t> live;
+  const auto drop_evicted = [&live](const std::vector<std::uint64_t>& ev) {
+    ASSERT_LE(ev.size(), live.size());
+    EXPECT_TRUE(std::equal(ev.begin(), ev.end(), live.begin()))
+        << "evictions must be the oldest live ids, in id order";
+    live.erase(live.begin(),
+               live.begin() + static_cast<std::ptrdiff_t>(ev.size()));
+  };
+  const auto ids_of = [](const SessionLog& log) {
+    std::vector<std::uint64_t> ids;
+    for (const auto& done : log.completed()) ids.push_back(done.id);
+    return ids;
+  };
+
+  std::size_t evictions = 0;
+  std::size_t max_live = 0;
+  {
+    SessionLog log(options);
+    for (std::uint64_t id = 1; id <= 18; ++id) {
+      const SessionResult result = traced_result(id, kEntries);
+      log.record_submit(id, result.spec);
+      live.push_back(id);
+      const auto evicted = log.record_result(id, result);
+      drop_evicted(evicted);
+      if (!evicted.empty()) {
+        EXPECT_EQ(live.size(), kRetain);
+      }
+      EXPECT_LE(live.size(), kRetain + kPerThreshold + 1) << "after " << id;
+      evictions += evicted.size();
+      max_live = std::max(max_live, live.size());
+    }
+    EXPECT_GT(evictions, 0u);     // automatic checkpoints evicted
+    EXPECT_GT(max_live, kRetain);  // and the slack was really used
+    ASSERT_GT(live.size(), kRetain);  // ends between checkpoints
+  }
+  // Reboot mid-slack: the journal holds exactly the live registry.
+  {
+    SessionLog log(options);
+    EXPECT_TRUE(log.pending().empty());
+    EXPECT_EQ(ids_of(log), live);
+    drop_evicted(log.checkpoint());
+    EXPECT_EQ(live.size(), kRetain);
+  }
+  SessionLog log(options);
+  EXPECT_EQ(ids_of(log), live);
+  EXPECT_EQ(log.next_id(), 19u);
 }
 
 // ------------------------------------------- exhaustive fault sweep --

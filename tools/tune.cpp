@@ -70,7 +70,10 @@
 //       session id and result is write-ahead journaled, and a restart
 //       on the same directory restores completed results and re-runs
 //       unfinished sessions under their original ids — kill -9 loses
-//       nothing that was acknowledged. --peers joins a static tuning
+//       nothing that was acknowledged; once --journal-checkpoint-bytes
+//       have been appended since the last compaction, the journal is
+//       rewritten with the --journal-retain newest completed sessions
+//       and every pending one. --peers joins a static tuning
 //       cluster (docs/cluster.md): the list is the full membership,
 //       identical on every node, and must include this node's own
 //       host:port (so --port must be explicit). Peer and loopback
@@ -1181,6 +1184,9 @@ void print_usage() {
       "          [--workers N] [--shards P] [--dataset-dir DIR]\n"
       "          [--journal-dir DIR [--journal-retain N]\n"
       "           [--journal-checkpoint-bytes BYTES]]\n"
+      "          (the journal compacts to the N newest completed\n"
+      "           sessions, default 1024, once BYTES have been appended\n"
+      "           since its last compaction, default 262144)\n"
       "          [--peers h1:p1,h2:p2,... [--peer-timeout-ms 2000]]\n"
       "          [--log-level debug|info|warn|error|off]\n"
       "  remote  <run|submit|get|stats|spaces|health|top|trace>\n"
