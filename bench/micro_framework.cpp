@@ -35,6 +35,7 @@
 #include "service/session_json.hpp"
 #include "service/session_log.hpp"
 #include "service/sharded_cache.hpp"
+#include "tuners/tuner.hpp"
 
 namespace {
 
@@ -215,6 +216,55 @@ void BM_GbdtPredictAll(benchmark::State& state) {
                           static_cast<std::int64_t>(split.x_test.rows()));
 }
 BENCHMARK(BM_GbdtPredictAll)->MeasureProcessCPUTime()->UseRealTime();
+
+// One surrogate screening step: 400 pnpoly candidates through the
+// surrogate's 80-tree, depth-5 model, fitted on 100 sampled rows.
+void BM_GbdtPredictRows(benchmark::State& state) {
+  const auto bench = kernels::make("pnpoly");
+  const auto& space = bench->space();
+  const auto ds = core::Runner::run_sampled(*bench, 0, 100, 9);
+  ml::GbdtParams params;
+  params.num_trees = 80;
+  params.tree.max_depth = 5;
+  ml::GbdtRegressor model(params);
+  model.fit(ml::Matrix::from_rows(ds.feature_matrix()), ds.target_vector());
+  common::Rng rng(10);
+  ml::Matrix pool(400, space.params().num_params());
+  core::Config decoded;
+  for (std::size_t i = 0; i < pool.rows(); ++i) {
+    space.params().decode_into(space.random_valid_index(rng), decoded);
+    for (std::size_t p = 0; p < pool.cols(); ++p) {
+      pool(i, p) = static_cast<double>(decoded[p]);
+    }
+  }
+  std::vector<double> predicted(pool.rows());
+  for (auto _ : state) {
+    model.predict_rows(pool, predicted);
+    benchmark::DoNotOptimize(predicted.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pool.rows()));
+}
+BENCHMARK(BM_GbdtPredictRows);
+
+// Four whole surrogate sessions (seeds 1-4) on pnpoly replay at budget
+// 100: refits, screening and bookkeeping together.
+void BM_SurrogateSession(benchmark::State& state) {
+  const auto bench = kernels::make("pnpoly");
+  const auto ds = core::Runner::run_exhaustive(*bench, 0);
+  for (auto _ : state) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      auto tuner = tuners::make_tuner("surrogate");
+      core::ReplayBackend replay(bench->space(), ds);
+      benchmark::DoNotOptimize(tuners::run_tuner(*tuner, replay, 100, seed));
+    }
+  }
+}
+BENCHMARK(BM_SurrogateSession)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PageRank(benchmark::State& state) {
   // Random DAG-ish graph with n nodes, ~8 out-edges each.

@@ -1,5 +1,6 @@
 #include "ml/gbdt.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -53,8 +54,10 @@ void GbdtRegressor::fit(const Matrix& x, std::span<const double> y,
 
     // Update running predictions over ALL rows. Serial: scoring a few
     // thousand rows costs less than a thread-pool handoff.
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-      current[i] += params_.learning_rate * tree.predict(x.row(i));
+    for (std::size_t lo = 0; lo < x.rows(); lo += RegressionTree::kBlockRows) {
+      const auto n = std::min(RegressionTree::kBlockRows, x.rows() - lo);
+      tree.accumulate(x, lo, params_.learning_rate,
+                      std::span(current).subspan(lo, n));
     }
     trees_.push_back(std::move(tree));
   }
@@ -69,13 +72,34 @@ double GbdtRegressor::predict(std::span<const double> features) const {
   return log_target_ ? std::exp(acc) : acc;
 }
 
+void GbdtRegressor::score(const Matrix& x, std::size_t begin,
+                          std::size_t end, std::span<double> out) const {
+  for (std::size_t lo = begin; lo < end; lo += RegressionTree::kBlockRows) {
+    const auto acc =
+        out.subspan(lo, std::min(RegressionTree::kBlockRows, end - lo));
+    std::fill(acc.begin(), acc.end(), base_prediction_);
+    for (const auto& tree : trees_) {
+      tree.accumulate(x, lo, params_.learning_rate, acc);
+    }
+    if (log_target_) {
+      for (double& v : acc) v = std::exp(v);
+    }
+  }
+}
+
+void GbdtRegressor::predict_rows(const Matrix& x,
+                                 std::span<double> out) const {
+  BAT_EXPECTS(trained());
+  BAT_EXPECTS(out.size() == x.rows());
+  score(x, 0, x.rows(), out);
+}
+
 std::vector<double> GbdtRegressor::predict_all(const Matrix& x) const {
+  BAT_EXPECTS(trained());
   std::vector<double> out(x.rows());
   common::parallel_for_chunked(
       0, x.rows(), [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = predict(x.row(i));
-        }
+        score(x, lo, hi, out);
       });
   return out;
 }

@@ -34,6 +34,15 @@ class GbdtRegressor {
   void fit(const Matrix& x, std::span<const double> y, bool log_target = true);
 
   [[nodiscard]] double predict(std::span<const double> features) const;
+
+  /// Scores every row of x into `out` (out.size() == x.rows()) on the
+  /// calling thread. Rows go through the ensemble in blocks of
+  /// RegressionTree::kBlockRows, tree by tree (tree-major), and each row
+  /// sums learning_rate * leaf in tree order from the base prediction,
+  /// so out[i] is bit-identical to predict(x.row(i)). A NaN feature goes
+  /// right at every split it meets, as in predict().
+  void predict_rows(const Matrix& x, std::span<double> out) const;
+  /// predict_rows fanned out over the shared thread pool.
   [[nodiscard]] std::vector<double> predict_all(const Matrix& x) const;
 
   [[nodiscard]] bool trained() const noexcept { return !trees_.empty(); }
@@ -46,6 +55,9 @@ class GbdtRegressor {
   }
 
  private:
+  void score(const Matrix& x, std::size_t begin, std::size_t end,
+             std::span<double> out) const;
+
   GbdtParams params_;
   std::vector<RegressionTree> trees_;
   double base_prediction_ = 0.0;

@@ -6,7 +6,7 @@
 
 namespace bat::ml {
 
-static_assert(sizeof(RegressionTree::Node) == 16);
+static_assert(sizeof(RegressionTree::Node) == 24);
 
 namespace {
 
@@ -23,12 +23,13 @@ class Builder {
   Builder(const BinnedMatrix& x, std::span<const double> y,
           std::span<const std::size_t> sample_rows, const TreeParams& params,
           std::vector<RegressionTree::Node>& nodes,
-          std::vector<RegressionTree::Split>& splits)
+          std::vector<RegressionTree::Split>& splits, int& depth)
       : x_(x),
         y_(y),
         params_(params),
         nodes_(nodes),
         splits_(splits),
+        depth_(depth),
         rows_(sample_rows.begin(), sample_rows.end()),
         by_y_(rows_),
         start_(x.max_bins() + 1),
@@ -52,7 +53,9 @@ class Builder {
     const std::size_t n = end - begin;
     double sum = 0.0;
     for (std::size_t i = begin; i < end; ++i) sum += y_[rows_[i]];
-    nodes_[node].value_or_threshold = sum / static_cast<double>(n);
+    const auto self = static_cast<std::uint32_t>(node);
+    nodes_[node] = {sum / static_cast<double>(n), 0, {self, self}};
+    depth_ = std::max(depth_, depth);
 
     if (depth >= params_.max_depth || n < 2 * params_.min_samples_leaf) {
       return;
@@ -93,13 +96,14 @@ class Builder {
     std::copy(spill_.begin(), spill_.end(),
               by_y_.begin() + static_cast<std::ptrdiff_t>(out));
 
-    const auto left = static_cast<int>(nodes_.size());
+    const auto left = static_cast<std::uint32_t>(nodes_.size());
     nodes_.emplace_back();
     nodes_.emplace_back();
-    nodes_[node] = {best.threshold, best.feature, left};
+    nodes_[node] = {best.threshold, static_cast<std::uint32_t>(f),
+                    {left, left + 1}};
     splits_.push_back({best.feature, best.gain});
-    build(static_cast<std::size_t>(left), begin, mid, depth + 1);
-    build(static_cast<std::size_t>(left) + 1, mid, end, depth + 1);
+    build(left, begin, mid, depth + 1);
+    build(left + 1, mid, end, depth + 1);
   }
 
   // Scores every value boundary of feature f in the node. The counting
@@ -155,6 +159,7 @@ class Builder {
   const TreeParams& params_;
   std::vector<RegressionTree::Node>& nodes_;
   std::vector<RegressionTree::Split>& splits_;
+  int& depth_;
   std::vector<std::size_t> rows_;
   std::vector<std::size_t> by_y_;
   std::vector<std::size_t> start_;  // per-bin offsets into seq_
@@ -179,20 +184,47 @@ void RegressionTree::fit(const BinnedMatrix& x, std::span<const double> y,
   for (const std::size_t r : sample_rows) BAT_EXPECTS(r < x.rows());
   nodes_.clear();
   splits_.clear();
-  Builder(x, y, sample_rows, params, nodes_, splits_).build_root();
+  depth_ = 0;
+  Builder(x, y, sample_rows, params, nodes_, splits_, depth_).build_root();
 }
 
 double RegressionTree::predict(std::span<const double> features) const {
   BAT_EXPECTS(!nodes_.empty());
-  std::size_t idx = 0;
-  while (nodes_[idx].feature >= 0) {
-    const auto& node = nodes_[idx];
-    const double v = features[static_cast<std::size_t>(node.feature)];
+  const Node* at = nodes_.data();
+  for (int d = 0; d < depth_; ++d) {
     // NaN compares false and goes right.
-    idx = static_cast<std::size_t>(node.left) +
-          (v <= node.value_or_threshold ? 0 : 1);
+    const bool right = !(features[at->feature] <= at->value_or_threshold);
+    at = &nodes_[at->child[right]];
   }
-  return nodes_[idx].value_or_threshold;
+  return at->value_or_threshold;
+}
+
+void RegressionTree::accumulate(const Matrix& x, std::size_t begin,
+                                double scale, std::span<double> acc) const {
+  BAT_EXPECTS(!nodes_.empty());
+  BAT_EXPECTS(acc.size() <= kBlockRows && begin + acc.size() <= x.rows());
+  const std::size_t n = acc.size();
+  if (n == 0) return;
+  // Every walk runs all kBlockRows lanes; a short block repeats its last
+  // row in the lanes it does not fill. Walking node pointers rather than
+  // indices saves the index-to-address arithmetic at every step.
+  const Node* const nodes = nodes_.data();
+  const double* row[kBlockRows];
+  const Node* at[kBlockRows];
+  for (std::size_t i = 0; i < kBlockRows; ++i) {
+    row[i] = x.row(begin + std::min(i, n - 1)).data();
+    at[i] = nodes;
+  }
+  for (int d = 0; d < depth_; ++d) {
+    for (std::size_t i = 0; i < kBlockRows; ++i) {
+      const Node& node = *at[i];
+      at[i] = nodes + node.child[!(row[i][node.feature] <=
+                                   node.value_or_threshold)];
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    acc[i] += scale * at[i]->value_or_threshold;
+  }
 }
 
 std::vector<double> RegressionTree::split_gains(

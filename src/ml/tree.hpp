@@ -18,9 +18,17 @@
 // trees are bit-identical to it (tests/ml_test.cpp keeps that builder as
 // an oracle). Per-bin sums would be cheaper still but reorder the
 // floating-point additions and flip near-tied splits.
+//
+// Scoring is branch-free. Every node stores an explicit child pair, and
+// a leaf's pair points at the leaf itself, so a walk of exactly depth()
+// steps from the root ends on the row's leaf whatever depth that leaf
+// sits at. accumulate() walks a block of up to kBlockRows rows through
+// the tree in lockstep: each step is a load and a compare that picks
+// child[0] or child[1], with no branch on the data.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -36,11 +44,20 @@ struct TreeParams {
 
 class RegressionTree {
  public:
+  /// Rows accumulate() walks in lockstep.
+  static constexpr std::size_t kBlockRows = 16;
+
+  /// A split goes to child[0] if x[feature] <= value_or_threshold and to
+  /// child[1] otherwise (NaN compares false and goes right). A leaf holds
+  /// its prediction in value_or_threshold, feature 0 and both children
+  /// equal to its own index. Children are allocated as adjacent pairs,
+  /// after their parent (preorder of the build).
   struct Node {
-    double value_or_threshold = 0.0;  // leaf prediction, or go left if
-                                      // value <= threshold
-    int feature = -1;                 // -1 => leaf
-    int left = -1;                    // children at left and left + 1
+    double value_or_threshold = 0.0;
+    std::uint32_t feature = 0;
+    std::uint32_t child[2] = {0, 0};
+
+    [[nodiscard]] bool leaf() const noexcept { return child[0] == child[1]; }
   };
   struct Split {
     int feature = -1;
@@ -56,7 +73,15 @@ class RegressionTree {
 
   [[nodiscard]] double predict(std::span<const double> features) const;
 
+  /// Adds `scale * leaf` to acc[i] for row begin + i of x, for the
+  /// acc.size() <= kBlockRows rows of one block. Each entry gets exactly
+  /// `acc[i] += scale * predict(x.row(begin + i))`, bit for bit.
+  void accumulate(const Matrix& x, std::size_t begin, double scale,
+                  std::span<double> acc) const;
+
   [[nodiscard]] bool trained() const noexcept { return !nodes_.empty(); }
+  /// Edges on the longest root-to-leaf path: every walk's trip count.
+  [[nodiscard]] int depth() const noexcept { return depth_; }
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
@@ -75,6 +100,7 @@ class RegressionTree {
  private:
   std::vector<Node> nodes_;
   std::vector<Split> splits_;
+  int depth_ = 0;
 };
 
 }  // namespace bat::ml

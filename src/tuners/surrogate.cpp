@@ -39,6 +39,12 @@ void SurrogateTuner::optimize(core::CachingEvaluator& evaluator,
   gparams.num_trees = 80;  // refit often -> keep individual fits cheap
   gparams.tree.max_depth = 5;
 
+  // The candidate pool, reused by every screening step.
+  ml::Matrix pool(options_.candidate_pool, dims);
+  std::vector<core::ConfigIndex> pool_index(options_.candidate_pool);
+  std::vector<double> predicted(options_.candidate_pool);
+  core::Config decoded;
+
   while (true) {
     // (Re)fit the surrogate on everything observed so far.
     ml::GbdtRegressor model(gparams);
@@ -52,19 +58,22 @@ void SurrogateTuner::optimize(core::CachingEvaluator& evaluator,
         continue;
       }
       // Screen a pool of random valid candidates through the surrogate
-      // and evaluate the most promising one for real.
+      // in one batch and evaluate the most promising one for real: the
+      // first strict minimum, as a one-by-one scan would pick it.
+      for (std::size_t i = 0; i < options_.candidate_pool; ++i) {
+        pool_index[i] = space.random_valid_index(rng);
+        params.decode_into(pool_index[i], decoded);
+        for (std::size_t p = 0; p < dims; ++p) {
+          pool(i, p) = static_cast<double>(decoded[p]);
+        }
+      }
+      model.predict_rows(pool, predicted);
       core::Config best_candidate;
       double best_predicted = std::numeric_limits<double>::infinity();
-      std::vector<double> row(dims);
       for (std::size_t i = 0; i < options_.candidate_pool; ++i) {
-        core::Config candidate = space.random_valid_config(rng);
-        for (std::size_t p = 0; p < dims; ++p) {
-          row[p] = static_cast<double>(candidate[p]);
-        }
-        const double predicted = model.predict(row);
-        if (predicted < best_predicted) {
-          best_predicted = predicted;
-          best_candidate = std::move(candidate);
+        if (predicted[i] < best_predicted) {
+          best_predicted = predicted[i];
+          params.decode_into(pool_index[i], best_candidate);
         }
       }
       (void)observe(best_candidate);

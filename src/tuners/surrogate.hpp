@@ -3,6 +3,12 @@
 // spend real evaluations only on the most promising ones (with
 // epsilon-greedy exploration).
 //
+// Each screening step draws candidate_pool valid indices, decodes them
+// into one reused feature matrix and scores them in one
+// GbdtRegressor::predict_rows call. The first strict minimum wins, as a
+// one-candidate-at-a-time scan would pick it, and only the winner is
+// built as a Config. The model is refit every refit_every proposals.
+//
 // Single-run mutable state: one instance per session, driven by one
 // thread (see the ownership notes in tuners/tuner.hpp).
 #pragma once
@@ -16,7 +22,10 @@ class SurrogateTuner final : public Tuner {
   struct Options {
     std::size_t initial_random = 20;   // warm-up evaluations
     std::size_t candidate_pool = 400;  // surrogate-screened candidates
-    std::size_t refit_every = 8;       // evaluations between refits
+    // Proposals between refits, counting those the evaluator answers
+    // from its cache; a refit can therefore follow fewer than
+    // refit_every new evaluations.
+    std::size_t refit_every = 8;
     double explore_fraction = 0.15;    // epsilon
   };
 

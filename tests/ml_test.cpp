@@ -413,10 +413,14 @@ std::string tree_difference(const std::vector<RefNode>& ref,
     const auto& a = ref[r];
     const auto& b = nodes[c];
     const std::string at = "ref node " + std::to_string(r) + ": ";
-    if (a.feature != b.feature) return at + "feature";
+    if ((a.feature < 0) != b.leaf()) return at + "leaf";
     if (a.feature < 0) {
+      if (b.child[0] != c || b.feature != 0) return at + "leaf links";
       if (bits(a.value) != bits(b.value_or_threshold)) return at + "value";
       continue;
+    }
+    if (static_cast<std::uint32_t>(a.feature) != b.feature) {
+      return at + "feature";
     }
     if (bits(a.threshold) != bits(b.value_or_threshold)) {
       return at + "threshold";
@@ -426,9 +430,11 @@ std::string tree_difference(const std::vector<RefNode>& ref,
     if (split.feature != a.feature || bits(split.gain) != bits(a.gain)) {
       return at + "gain";
     }
-    const auto left = static_cast<std::size_t>(b.left);
-    stack.emplace_back(static_cast<std::size_t>(a.right), left + 1);
-    stack.emplace_back(static_cast<std::size_t>(a.left), left);
+    if (b.child[0] <= c || b.child[1] != b.child[0] + 1) {
+      return at + "child pair";
+    }
+    stack.emplace_back(static_cast<std::size_t>(a.right), b.child[1]);
+    stack.emplace_back(static_cast<std::size_t>(a.left), b.child[0]);
   }
   if (next_split != splits.size()) return "extra splits";
   return "";
@@ -585,6 +591,162 @@ TEST_P(GbdtOracleExhaustive, PfiModelMatchesReferenceBoosting) {
 
 INSTANTIATE_TEST_SUITE_P(Kernels, GbdtOracleExhaustive,
                          ::testing::Values("pnpoly", "convolution"));
+
+// ---- Batch scoring: predict_rows/predict_all against per-row predict(). ----
+// The lockstep walk and the tree-major sums must give every row exactly
+// the bits the one-row, one-tree-at-a-time path gives.
+
+void expect_batch_matches_predict(const GbdtRegressor& model,
+                                  const Matrix& x) {
+  std::vector<double> rows(x.rows());
+  model.predict_rows(x, rows);
+  const auto all = model.predict_all(x);
+  ASSERT_EQ(all.size(), x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const double expected = model.predict(x.row(i));
+    ASSERT_EQ(bits(expected), bits(rows[i])) << "predict_rows row " << i;
+    ASSERT_EQ(bits(expected), bits(all[i])) << "predict_all row " << i;
+  }
+}
+
+Matrix first_rows(const Matrix& x, std::size_t n) {
+  Matrix out(n, x.cols());
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < x.cols(); ++c) out(r, c) = x(r % x.rows(), c);
+  }
+  return out;
+}
+
+// Depth of every leaf, by a walk from the root over the child pairs.
+std::vector<int> leaf_depths(const RegressionTree& tree) {
+  const auto nodes = tree.nodes();
+  std::vector<int> depths;
+  std::vector<std::pair<std::uint32_t, int>> stack{{0, 0}};
+  while (!stack.empty()) {
+    const auto [at, depth] = stack.back();
+    stack.pop_back();
+    if (nodes[at].leaf()) {
+      depths.push_back(depth);
+      continue;
+    }
+    stack.emplace_back(nodes[at].child[0], depth + 1);
+    stack.emplace_back(nodes[at].child[1], depth + 1);
+  }
+  return depths;
+}
+
+TEST(GbdtBatch, BlockRemaindersMatchPredict) {
+  const auto [x, y] = awkward_data(400, 7);
+  GbdtParams params;
+  params.num_trees = 40;
+  GbdtRegressor model(params);
+  model.fit(x, y);
+  static_assert(RegressionTree::kBlockRows == 16);
+  for (const std::size_t n : {1, 15, 16, 17, 400}) {
+    SCOPED_TRACE(n);
+    expect_batch_matches_predict(model, first_rows(x, n));
+  }
+}
+
+TEST(GbdtBatch, SingleLeafTreesMatchPredict) {
+  const auto [x, y_unused] = awkward_data(60, 8);
+  const std::vector<double> y(x.rows(), 2.5);  // constant target
+  GbdtParams params;
+  params.num_trees = 5;
+  GbdtRegressor model(params);
+  model.fit(x, y);
+  for (const auto& tree : model.trees()) {
+    EXPECT_EQ(tree.node_count(), 1u);
+    EXPECT_EQ(tree.depth(), 0);
+  }
+  expect_batch_matches_predict(model, x);
+}
+
+TEST(GbdtBatch, MixedLeafDepthsMatchPredict) {
+  const auto [x, y] = awkward_data(300, 9);
+  GbdtParams params;
+  params.num_trees = 30;
+  params.tree.max_depth = 6;
+  params.tree.min_samples_leaf = 8;
+  GbdtRegressor model(params);
+  model.fit(x, y);
+  std::size_t mixed = 0;
+  for (const auto& tree : model.trees()) {
+    const auto depths = leaf_depths(tree);
+    const auto [lo, hi] = std::minmax_element(depths.begin(), depths.end());
+    EXPECT_EQ(*hi, tree.depth());
+    if (*lo < *hi) ++mixed;
+  }
+  EXPECT_GT(mixed, 0u);  // short walks had to idle on their leaves
+  expect_batch_matches_predict(model, x);
+}
+
+TEST(GbdtBatch, RawTargetMatchesPredict) {
+  auto [x, y] = awkward_data(200, 10);
+  for (double& v : y) v = std::log(v) - 0.3;  // signed, not log-scaled
+  GbdtParams params;
+  params.num_trees = 30;
+  GbdtRegressor model(params);
+  model.fit(x, y, /*log_target=*/false);
+  expect_batch_matches_predict(model, x);
+}
+
+TEST(GbdtBatch, NanFeatureGoesRightAsPredictSendsIt) {
+  // Documented behaviour: the batch path does not reject non-finite
+  // rows; a NaN compares false at every split and goes right, exactly
+  // as predict() sends it.
+  const auto [x, y] = awkward_data(200, 11);
+  GbdtParams params;
+  params.num_trees = 20;
+  GbdtRegressor model(params);
+  model.fit(x, y);
+  Matrix probe = first_rows(x, 40);
+  for (std::size_t r = 0; r < probe.rows(); ++r) {
+    probe(r, r % probe.cols()) = std::numeric_limits<double>::quiet_NaN();
+  }
+  expect_batch_matches_predict(model, probe);
+  // All-NaN rows take the rightmost path of every tree.
+  Matrix all_nan(3, x.cols());
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < x.cols(); ++c) {
+      all_nan(r, c) = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  std::vector<double> got(3);
+  model.predict_rows(all_nan, got);
+  // The base prediction is the mean log target, summed as fit sums it.
+  double acc = 0.0;
+  for (const double v : y) acc += std::log(v);
+  acc /= static_cast<double>(y.size());
+  for (const auto& tree : model.trees()) {
+    std::uint32_t at = 0;
+    while (!tree.nodes()[at].leaf()) at = tree.nodes()[at].child[1];
+    acc += params.learning_rate * tree.nodes()[at].value_or_threshold;
+  }
+  for (const double v : got) EXPECT_EQ(bits(std::exp(acc)), bits(v));
+}
+
+TEST(GbdtBatch, PfiShapedModelOnExhaustivePnpolyMatchesPredict) {
+  const auto bench = kernels::make("pnpoly");
+  const auto ds = core::Runner::run_exhaustive(*bench, 0);
+  const auto x = Matrix::from_rows(ds.feature_matrix());
+  const auto split = train_test_split(x, ds.target_vector(), 0.25, 0x1396ULL);
+  GbdtRegressor model;  // 300 trees, depth 6: the importance study's model
+  ASSERT_EQ(model.params().num_trees, 300u);
+  ASSERT_EQ(model.params().tree.max_depth, 6);
+  model.fit(split.x_train, split.y_train);
+  expect_batch_matches_predict(model, x);
+}
+
+TEST(GbdtBatch, RowCountMustMatchOutput) {
+  const auto [x, y] = awkward_data(50, 12);
+  GbdtParams params;
+  params.num_trees = 3;
+  GbdtRegressor model(params);
+  model.fit(x, y);
+  std::vector<double> out(x.rows() - 1);
+  EXPECT_THROW(model.predict_rows(x, out), common::ContractViolation);
+}
 
 }  // namespace
 }  // namespace bat::ml

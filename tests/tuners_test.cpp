@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
 
 #include "core/runner.hpp"
 #include "kernels/all_kernels.hpp"
@@ -128,6 +132,67 @@ TEST_P(AllTunersSweep, LiveAndReplayTracesAreIdentical) {
       EXPECT_DOUBLE_EQ(live_run.best_so_far[i], replay_run.best_so_far[i]);
     }
   }
+}
+
+// FNV-1a 64 over each trace entry's (index, objective bits).
+std::uint64_t trace_digest(const TuningRun& run) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& entry : run.trace) {
+    mix(entry.index);
+    mix(std::bit_cast<std::uint64_t>(entry.objective));
+  }
+  return h;
+}
+
+TEST(SurrogateTuner, TracesMatchRecordedDigests) {
+  // Recorded from the per-row scorer; any change to how the surrogate
+  // draws, scores or picks candidates shows up here as a new digest.
+  const std::map<std::string, std::uint64_t> expected{
+      {"convolution/live/41", 0xa40f1358835d6115ULL},
+      {"convolution/live/5", 0xdde5955d4ce767aULL},
+      {"dedisp/live/41", 0xc086fa3843f328acULL},
+      {"dedisp/live/5", 0x55b3cd4b519e2f79ULL},
+      {"expdist/live/41", 0xf29965afc43c31d2ULL},
+      {"expdist/live/5", 0xa4f8dbde19963c8cULL},
+      {"gemm/live/41", 0x1714b965d4dc2cdeULL},
+      {"gemm/live/5", 0x7ee3500444da188eULL},
+      {"hotspot/live/41", 0x86f15af32be2f514ULL},
+      {"hotspot/live/5", 0x223e94d2444e79e9ULL},
+      {"nbody/live/41", 0x412f6d371e2b8210ULL},
+      {"nbody/live/5", 0x317cca1c650a3276ULL},
+      {"pnpoly/live/41", 0x1f4de71015cf618cULL},
+      {"pnpoly/live/5", 0xed9ab3ff35fcdce7ULL},
+      {"pnpoly/replay/41", 0x33982fa26a3a2f2aULL},
+      {"pnpoly/replay/5", 0x5a770f4556953a93ULL}};
+  std::map<std::string, std::uint64_t> got;
+  for (const auto& name : kernels::paper_benchmark_names()) {
+    const auto bench = kernels::make(name);
+    for (const std::uint64_t seed : {5ULL, 41ULL}) {
+      auto tuner = make_tuner("surrogate");
+      got[name + "/live/" + std::to_string(seed)] =
+          trace_digest(run_tuner(*tuner, *bench, seed % 4, 60, seed));
+    }
+  }
+  const auto bench = kernels::make("pnpoly");
+  const core::Dataset ds = core::Runner::run_exhaustive(*bench, 2);
+  for (const std::uint64_t seed : {5ULL, 41ULL}) {
+    auto tuner = make_tuner("surrogate");
+    core::ReplayBackend replay(bench->space(), ds);
+    got["pnpoly/replay/" + std::to_string(seed)] =
+        trace_digest(run_tuner(*tuner, replay, 60, seed));
+  }
+  for (const auto& [key, digest] : got) {
+    const auto it = expected.find(key);
+    EXPECT_TRUE(it != expected.end() && it->second == digest)
+        << key << " = 0x" << std::hex << digest;
+  }
+  EXPECT_EQ(got.size(), expected.size());
 }
 
 TEST(BatchedTuners, PopulationTunersUseAskTell) {
