@@ -28,7 +28,6 @@
 #include "io/dataset_file.hpp"
 #include "io/dataset_view.hpp"
 #include "io/replay_view.hpp"
-#include "jit/compiled_backend.hpp"
 #include "kernels/all_kernels.hpp"
 #include "ml/gbdt.hpp"
 #include "net/http.hpp"
@@ -578,102 +577,6 @@ void BM_SessionLogSteadyState(benchmark::State& state) {
 BENCHMARK(BM_SessionLogSteadyState)
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
-
-// ------------------------------------------------------------ jit backend --
-// The three regimes of the compiled-kernel backend, one benchmark each:
-// a cold compile (emit + system compiler + publish, the price paid once
-// per configuration per cache), a warm dispatch (fn-cache hit, the
-// steady-state cost every tuner step pays), and a dlopen-only reload (a
-// fresh backend over an already-populated artifact dir — what a new
-// process pays when the disk cache is hot).
-
-struct JitFixture {
-  std::unique_ptr<core::Benchmark> bench;
-  const kernels::KernelBenchmark* kernel = nullptr;
-  std::string artifact_dir;
-  std::vector<core::ConfigIndex> indices;  // valid, pre-sampled
-};
-
-const JitFixture& jit_fixture() {
-  static const JitFixture fixture = [] {
-    JitFixture f;
-    f.bench = kernels::make("pnpoly");
-    f.kernel = &dynamic_cast<const kernels::KernelBenchmark&>(*f.bench);
-    f.artifact_dir = (std::filesystem::temp_directory_path() /
-                      "bat_micro_jit")
-                         .string();
-    std::filesystem::remove_all(f.artifact_dir);
-    common::Rng rng(11);
-    const auto& params = f.bench->space().params();
-    for (std::size_t i = 0; i < 4; ++i) {
-      f.indices.push_back(params.index_of_config(
-          f.bench->space().random_valid_config(rng)));
-    }
-    return f;
-  }();
-  return fixture;
-}
-
-// One full cold compile per iteration: fresh artifact dir, so the
-// builder (system compiler + atomic publish) runs every time.
-void BM_JitColdCompile(benchmark::State& state) {
-  const auto& fixture = jit_fixture();
-  const auto dir = std::filesystem::temp_directory_path() / "bat_micro_jit_cold";
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::filesystem::remove_all(dir);
-    jit::CompiledBackendOptions options;
-    options.artifact_dir = dir.string();
-    jit::CompiledKernelBackend backend(*fixture.kernel, 0, options);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(
-        backend.evaluate(fixture.indices.front()).time_ms);
-  }
-}
-BENCHMARK(BM_JitColdCompile)->Unit(benchmark::kMillisecond);
-
-// Steady state: every index resolved, dispatch is a shared-lock map
-// probe plus a direct function-pointer call.
-void BM_JitWarmDispatch(benchmark::State& state) {
-  const auto& fixture = jit_fixture();
-  static jit::CompiledKernelBackend* backend = [] {
-    jit::CompiledBackendOptions options;
-    options.artifact_dir = jit_fixture().artifact_dir;
-    auto* b = new jit::CompiledKernelBackend(*jit_fixture().kernel, 0,
-                                             options);
-    (void)b->evaluate_batch(jit_fixture().indices);  // warm the fn cache
-    return b;
-  }();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        backend->evaluate_batch(fixture.indices).front().time_ms);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fixture.indices.size()));
-}
-BENCHMARK(BM_JitWarmDispatch);
-
-// Fresh backend over a hot disk cache: no compiles, just verified
-// probe + dlopen + symbol resolution per artifact — the next process's
-// startup cost.
-void BM_JitDlopenCached(benchmark::State& state) {
-  const auto& fixture = jit_fixture();
-  {
-    // Ensure the artifacts exist (shared dir with BM_JitWarmDispatch).
-    jit::CompiledBackendOptions options;
-    options.artifact_dir = fixture.artifact_dir;
-    jit::CompiledKernelBackend seed(*fixture.kernel, 0, options);
-    (void)seed.evaluate_batch(fixture.indices);
-  }
-  for (auto _ : state) {
-    jit::CompiledBackendOptions options;
-    options.artifact_dir = fixture.artifact_dir;
-    jit::CompiledKernelBackend backend(*fixture.kernel, 0, options);
-    benchmark::DoNotOptimize(
-        backend.evaluate_batch(fixture.indices).front().time_ms);
-  }
-}
-BENCHMARK(BM_JitDlopenCached)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -348,22 +348,6 @@ net::HttpResponse ApiServer::get_stats() const {
                             durability.replay_dropped_bytes);
   }
 
-  // JIT compile-cost counters, aggregated over every "jit" workload.
-  // artifact_cache_hits rising while compiles stays flat is the
-  // content-addressed cache doing its job across sessions/restarts.
-  const auto jit = service_.jit_stats();
-  JsonObject jit_json;
-  jit_json.emplace("backends", jit.backends);
-  jit_json.emplace("evaluations", jit.evaluations);
-  jit_json.emplace("fallback_evals", jit.fallback_evals);
-  jit_json.emplace("compiles", jit.compiles);
-  jit_json.emplace("compile_failures", jit.compile_failures);
-  jit_json.emplace("compile_ms", jit.compile_ms);
-  jit_json.emplace("artifact_cache_hits", jit.artifact_cache_hits);
-  jit_json.emplace("artifact_cache_misses", jit.artifact_cache_misses);
-  jit_json.emplace("corrupt_rebuilds", jit.corrupt_rebuilds);
-  jit_json.emplace("evictions", jit.evictions);
-
   JsonObject object;
   object.emplace("workers", static_cast<std::uint64_t>(service_.workers()));
   object.emplace("sessions_submitted",
@@ -371,7 +355,6 @@ net::HttpResponse ApiServer::get_stats() const {
   object.emplace("sessions_active",
                  static_cast<std::uint64_t>(service_.sessions_active()));
   object.emplace("cache", Json(std::move(cache_json)));
-  object.emplace("jit", Json(std::move(jit_json)));
   object.emplace("durability", Json(std::move(durability_json)));
   object.emplace("http", Json(std::move(http_json)));
   if (cluster_) object.emplace("cluster", cluster_->stats_json());

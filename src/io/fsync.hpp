@@ -1,8 +1,7 @@
 // Shared fsync helpers for the tmp + fsync + rename publish discipline
-// (the journal's crash-safety recipe, reused by DatasetRepository and
-// the JIT artifact cache): sync the file's bytes, then the containing
-// directory, so neither torn contents nor a vanished directory entry
-// can survive a crash.
+// (the journal's crash-safety recipe, reused by DatasetRepository):
+// sync the file's bytes, then the containing directory, so neither
+// torn contents nor a vanished directory entry can survive a crash.
 #pragma once
 
 #include <string>

@@ -73,8 +73,6 @@ GemmParams GemmBenchmark::decode(const core::Config& c) {
 
 std::optional<double> GemmBenchmark::model_time_ms(
     const core::Config& config, const gpusim::DeviceSpec& device) const {
-  // The arithmetic lives in models/gemm_model.hpp so the JIT backend can
-  // compile the identical expressions into a specialized shared object.
   const auto prof = models::gemm_profile(decode(config), device);
   if (!prof) return std::nullopt;
   return gpusim::LaunchModel::estimate_ms(device, *prof);

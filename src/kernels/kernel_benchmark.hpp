@@ -36,15 +36,6 @@ class KernelBenchmark : public core::Benchmark {
   [[nodiscard]] std::optional<double> model_time(
       const core::Config& config, core::DeviceIndex device) const;
 
-  /// Measurement-noise parameters, exposed so alternative evaluation
-  /// paths (the JIT backend) can reproduce evaluate()'s exact results.
-  [[nodiscard]] double noise_amplitude() const noexcept {
-    return noise_amplitude_;
-  }
-  [[nodiscard]] std::uint64_t kernel_noise_id() const noexcept {
-    return kernel_id_;
-  }
-
  protected:
   /// The per-kernel analytical model. `config` is already known to satisfy
   /// the static constraints. Returns nullopt for device-invalid launches.

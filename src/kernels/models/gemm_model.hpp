@@ -1,10 +1,7 @@
-// The GEMM analytical model, factored out of GemmBenchmark so the JIT
-// backend can compile the *same* expressions into a specialized shared
-// object (src/kernels/jit_emitters.cpp bakes the parameters into a
-// constexpr struct and instantiates this template). Host and JIT paths
-// therefore agree bit-for-bit — parity is by construction, not by test
-// tolerance. Depends only on header-only gpusim pieces so an emitted
-// translation unit needs no symbols from libbat.
+// The GEMM analytical model: the launch profile GemmBenchmark hands to
+// gpusim::LaunchModel for one decoded configuration. Kept apart from
+// gemm.cpp so the model's constants and expressions read as one unit,
+// next to the hotspot and pnpoly models in this directory.
 #pragma once
 
 #include <algorithm>
@@ -25,7 +22,7 @@ inline constexpr int kGemmKwg = 32;  // k-loop blocking factor (fixed)
 
 /// `P` supplies the decoded configuration as int members
 /// mwg, nwg, mdimc, ndimc, mdima, ndimb, vwm, vwn, sa, sb
-/// (GemmParams on the host, a baked constexpr struct in emitted code).
+/// (GemmParams, decoded by GemmBenchmark).
 /// Returns the launch profile, or nullopt for a device-invalid launch
 /// (GEMM has none, but the contract is uniform across the three models).
 template <typename P>

@@ -1,6 +1,6 @@
-// The Hotspot analytical model, factored out of HotspotBenchmark for the
-// JIT backend (see gemm_model.hpp for the why). Device-invalid launches
-// (too few/many threads, shared-memory tile overflow) return nullopt.
+// The Hotspot analytical model: the launch profile HotspotBenchmark
+// hands to gpusim::LaunchModel. Device-invalid launches (too few/many
+// threads, shared-memory tile overflow) return nullopt.
 #pragma once
 
 #include <algorithm>
@@ -23,8 +23,7 @@ inline constexpr double kOpsCell = 20.0;         // arithmetic ops per cell
 inline constexpr double kSmemBufs = 1.0;  // single smem buffer + reg ping-pong
 
 /// `P` supplies int members bx, by, tx, ty, tf, unroll_t, sh_power,
-/// blocks_per_sm (HotspotParams on the host, a baked struct in emitted
-/// code).
+/// blocks_per_sm (HotspotParams, decoded by HotspotBenchmark).
 template <typename P>
 [[nodiscard]] inline std::optional<gpusim::KernelProfile> hotspot_profile(
     const P& p, const gpusim::DeviceSpec& device) {

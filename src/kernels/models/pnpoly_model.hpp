@@ -1,6 +1,6 @@
-// The Pnpoly analytical model, factored out of PnpolyBenchmark for the
-// JIT backend (see gemm_model.hpp for the why). The single device-invalid
-// case (register file overflow) returns nullopt.
+// The Pnpoly analytical model: the launch profile PnpolyBenchmark hands
+// to gpusim::LaunchModel. The single device-invalid case (register file
+// overflow) returns nullopt.
 #pragma once
 
 #include <algorithm>
@@ -18,7 +18,7 @@ inline constexpr int kPnpolyPoints = 20'000'000;
 inline constexpr int kPnpolyVertices = 600;
 
 /// `P` supplies int members block_size_x, tile_size, between_method,
-/// use_method (PnpolyParams on the host, a baked struct in emitted code).
+/// use_method (PnpolyParams, decoded by PnpolyBenchmark).
 template <typename P>
 [[nodiscard]] inline std::optional<gpusim::KernelProfile> pnpoly_profile(
     const P& p, const gpusim::DeviceSpec& device) {

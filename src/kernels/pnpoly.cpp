@@ -43,9 +43,6 @@ PnpolyParams PnpolyBenchmark::decode(const core::Config& c) {
 
 std::optional<double> PnpolyBenchmark::model_time_ms(
     const core::Config& config, const gpusim::DeviceSpec& device) const {
-  // The arithmetic lives in models/pnpoly_model.hpp so the JIT backend
-  // can compile the identical expressions into a specialized shared
-  // object.
   const auto prof = models::pnpoly_profile(decode(config), device);
   if (!prof) return std::nullopt;
   return gpusim::LaunchModel::estimate_ms(device, *prof);

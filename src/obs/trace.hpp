@@ -8,13 +8,12 @@
 //     collide even across multiple services in one process;
 //   * propagation is a thread-local (TraceScope): the service worker
 //     enters the session's scope, and every instrumented layer it
-//     calls into — backend batches, jit compiles, journal commits,
-//     cluster peer RPCs — picks the id up implicitly. No signature
-//     grows a trace parameter. The known limit: work handed to
-//     *other* threads (run_inline batch fan-out over the global pool,
-//     compiles on the jit pool) is timed from the requesting thread
-//     instead — the span covers the wait, which is what the session
-//     actually spent;
+//     calls into — backend batches, journal commits, cluster peer
+//     RPCs — picks the id up implicitly. No signature grows a trace
+//     parameter. The known limit: work handed to *other* threads
+//     (run_inline batch fan-out over the global pool) is timed from
+//     the requesting thread instead — the span covers the wait, which
+//     is what the session actually spent;
 //   * spans land in one process-wide bounded ring (trace_buffer()),
 //     lock-striped so concurrent recorders hit different mutexes;
 //     wraparound overwrites the oldest spans per stripe (newest

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "core/benchmark.hpp"
@@ -22,10 +23,9 @@
 namespace bat::service {
 
 /// One tuning workload unit. `backend` selects how the service
-/// evaluates: "live" (gpusim model), "replay" (a registered or
+/// evaluates: "live" (gpusim model) or "replay" (a registered or
 /// service-swept tabular dataset; requires an exhaustively enumerable
-/// space or a registered dataset) or "jit" (per-config compiled shared
-/// objects, results bit-identical to "live"; gemm/hotspot/pnpoly only).
+/// space or a registered dataset).
 struct SessionSpec {
   std::string kernel = "gemm";
   std::string tuner = "local";
@@ -35,19 +35,20 @@ struct SessionSpec {
   std::string backend = "live";
 };
 
-/// Compile-cost telemetry for "jit" sessions (all zero otherwise):
-/// deltas of the shared workload backend's counters across this
-/// session's execution. Concurrent sessions on the same workload share
-/// the artifact cache, so a delta attributes whatever happened while
-/// this session ran — compile amortization is the point, not perfect
-/// attribution.
-struct JitSessionCost {
-  double compile_ms = 0.0;
-  std::uint64_t compiles = 0;
-  std::uint64_t artifact_cache_hits = 0;
-  std::uint64_t artifact_cache_misses = 0;
-  std::uint64_t fallback_evals = 0;
-};
+/// Throws std::invalid_argument unless `backend` is "live" or
+/// "replay". Specs naming the jit backend (compiled per-config shared
+/// objects, removed because it was never faster than live) get a
+/// message that says so: they still arrive from older clients and from
+/// journals written before the removal.
+inline void check_backend(const std::string& backend) {
+  if (backend == "live" || backend == "replay") return;
+  if (backend == "jit") {
+    throw std::invalid_argument(
+        "session backend \"jit\" was removed; use \"live\" (identical "
+        "results) or \"replay\"");
+  }
+  throw std::invalid_argument("unknown session backend: " + backend);
+}
 
 enum class SessionStatus {
   kCompleted,  // ran to its natural end (budget exhausted or converged)
@@ -70,7 +71,6 @@ struct SessionResult {
   std::string error;      // what() when status == kFailed
   tuners::TuningRun run;  // trace/best; partial when cancelled
   double wall_ms = 0.0;   // execution wall clock (excludes queue wait)
-  JitSessionCost jit;     // compile-cost dimension ("jit" backend only)
 };
 
 }  // namespace bat::service

@@ -40,6 +40,7 @@ SessionSpec spec_from_json(const Json& json) {
                                   "\"");
     }
   }
+  check_backend(spec.backend);
   return spec;
 }
 
@@ -52,17 +53,6 @@ Json to_json(const SessionResult& result, bool include_trace) {
   object.emplace("evaluations",
                  static_cast<std::uint64_t>(result.run.trace.size()));
   object.emplace("cancelled", result.run.cancelled);
-  // Compile-cost dimension: only for jit sessions, so live/replay
-  // session documents are byte-identical to what they always were.
-  if (result.spec.backend == "jit") {
-    JsonObject jit;
-    jit.emplace("compile_ms", result.jit.compile_ms);
-    jit.emplace("compiles", result.jit.compiles);
-    jit.emplace("artifact_cache_hits", result.jit.artifact_cache_hits);
-    jit.emplace("artifact_cache_misses", result.jit.artifact_cache_misses);
-    jit.emplace("fallback_evals", result.jit.fallback_evals);
-    object.emplace("jit", Json(std::move(jit)));
-  }
   if (result.run.best) {
     JsonObject best;
     best.emplace("index", result.run.best->index);

@@ -22,7 +22,8 @@ namespace bat::service {
 /// six keys, so specs echo back complete even where defaults applied.
 [[nodiscard]] common::Json to_json(const SessionSpec& spec);
 
-/// Strict inverse; throws std::invalid_argument on unknown keys and
+/// Strict inverse; throws std::invalid_argument on unknown keys or a
+/// backend other than "live"/"replay" (check_backend) and
 /// common::JsonTypeError on type mismatches.
 [[nodiscard]] SessionSpec spec_from_json(const common::Json& json);
 

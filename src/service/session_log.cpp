@@ -37,6 +37,11 @@ void put_string(std::string& out, const std::string& s) {
   out.append(s);
 }
 
+/// Result payloads from before the jit backend's removal end with its
+/// compile cost: compile_ms (f64) and compiles, artifact cache hits,
+/// artifact cache misses, fallback evals (4 x u64).
+constexpr std::size_t kLegacyJitCostBytes = 8 + 4 * 8;
+
 /// Bounds-checked strict reader; decode must consume every byte.
 class Reader {
  public:
@@ -154,15 +159,6 @@ std::string SessionLog::encode_result(std::uint64_t id,
     put_u64(out, entry.index);
     put_f64(out, entry.objective);
   }
-  // Compile-cost dimension (all zero for non-jit sessions). Appended
-  // after the trace so the trace-count plausibility bound keeps
-  // holding; the strict expect_done() on decode makes the extension a
-  // clean break, not a silent reinterpretation, for older journals.
-  put_f64(out, result.jit.compile_ms);
-  put_u64(out, result.jit.compiles);
-  put_u64(out, result.jit.artifact_cache_hits);
-  put_u64(out, result.jit.artifact_cache_misses);
-  put_u64(out, result.jit.fallback_evals);
   return out;
 }
 
@@ -187,12 +183,12 @@ std::pair<std::uint64_t, SessionResult> SessionLog::decode_result(
     entry.objective = in.f64();
     result.run.trace.push_back(entry);
   }
-  result.jit.compile_ms = in.f64();
-  result.jit.compiles = in.u64();
-  result.jit.artifact_cache_hits = in.u64();
-  result.jit.artifact_cache_misses = in.u64();
-  result.jit.fallback_evals = in.u64();
-  in.expect_done();
+  // Journals written while the jit backend existed carry its compile
+  // cost block after the trace. The trace count is explicit, so the
+  // remainder is either empty or exactly that block; it is discarded.
+  if (in.remaining() != 0 && in.remaining() != kLegacyJitCostBytes) {
+    in.fail("trailing bytes");
+  }
   result.run.best = core::trace_best(result.run.trace);
   result.run.best_so_far = core::trace_best_so_far(result.run.trace);
   return {id, std::move(result)};

@@ -79,7 +79,7 @@ void TuningService::register_metrics() {
         std::lock_guard lock(mutex_);
         return static_cast<double>(queued_);
       });
-  // Cache and jit series bridge the per-workload aggregations — the
+  // Cache series bridge the per-workload aggregations — the
   // same single source of truth /v1/stats reports.
   const auto cache_series = [&](const char* name, const char* help,
                                 auto getter) {
@@ -103,34 +103,6 @@ void TuningService::register_metrics() {
   cache_series("bat_cache_cross_session_hits_total",
                "Hits + waits served by another session's work",
                [](const CacheStats& s) { return s.cross_session_hits(); });
-  const auto jit_series = [&](const char* name, const char* help,
-                              auto getter) {
-    add(name, help, CallbackKind::kCounter, [this, getter] {
-      return static_cast<double>(getter(jit_stats()));
-    });
-  };
-  using JitStats = jit::BackendStats;
-  jit_series("bat_jit_evaluations_total", "Configs dispatched through a .so",
-             [](const JitStats& s) { return s.evaluations; });
-  jit_series("bat_jit_fallback_evals_total",
-             "Configs served by the live fallback",
-             [](const JitStats& s) { return s.fallback_evals; });
-  jit_series("bat_jit_compiles_total", "JIT compiles",
-             [](const JitStats& s) { return s.compiles; });
-  jit_series("bat_jit_compile_failures_total", "JIT compile failures",
-             [](const JitStats& s) { return s.compile_failures; });
-  jit_series("bat_jit_artifact_cache_hits_total", "Artifact cache hits",
-             [](const JitStats& s) { return s.artifact_cache_hits; });
-  jit_series("bat_jit_artifact_cache_misses_total", "Artifact cache misses",
-             [](const JitStats& s) { return s.artifact_cache_misses; });
-  jit_series("bat_jit_corrupt_rebuilds_total",
-             "Artifacts rebuilt after corruption",
-             [](const JitStats& s) { return s.corrupt_rebuilds; });
-  jit_series("bat_jit_evictions_total", "Artifacts evicted (LRU)",
-             [](const JitStats& s) { return s.evictions; });
-  add("bat_jit_backends", "JIT workload backends built",
-      CallbackKind::kGauge,
-      [this] { return static_cast<double>(jit_stats().backends); });
 }
 
 TuningService::~TuningService() { shutdown(); }
@@ -163,8 +135,8 @@ std::future<SessionResult> TuningService::enqueue(SessionSpec spec,
     }
     backlog_cv_.notify_one();
     // Re-enter the session's trace on the worker thread: evaluate,
-    // backend batches, jit compiles and the journal commit below all
-    // land on the timeline minted at submit.
+    // backend batches and the journal commit below all land on the
+    // timeline minted at submit.
     obs::TraceScope trace(trace_id);
     SessionResult result;
     {
@@ -356,29 +328,6 @@ ShardedMeasurementCache::Stats TuningService::cache_stats() const {
   return total;
 }
 
-jit::BackendStats TuningService::jit_stats() const {
-  // Workloads are never removed, so the jit pointers stay valid; the
-  // mutex only guards against racing a concurrent first-session
-  // publish of slot->workload.
-  jit::BackendStats total;
-  std::lock_guard lock(mutex_);
-  for (const auto& [key, slot] : workloads_) {
-    if (!slot->workload || slot->workload->jit == nullptr) continue;
-    const auto s = slot->workload->jit->stats();
-    total.evaluations += s.evaluations;
-    total.fallback_evals += s.fallback_evals;
-    total.compiles += s.compiles;
-    total.compile_failures += s.compile_failures;
-    total.artifact_cache_hits += s.artifact_cache_hits;
-    total.artifact_cache_misses += s.artifact_cache_misses;
-    total.corrupt_rebuilds += s.corrupt_rebuilds;
-    total.evictions += s.evictions;
-    total.compile_ms += s.compile_ms;
-    ++total.backends;
-  }
-  return total;
-}
-
 std::size_t TuningService::sessions_submitted() const {
   return static_cast<std::size_t>(submitted_total_->value());
 }
@@ -406,21 +355,8 @@ SessionResult TuningService::run_session(const SessionSpec& spec) {
       core::EvaluationHooks hooks;
       if (options_.share_cache) hooks.shared_cache = workload.shared.get();
       hooks.cancel = &cancel_;
-      jit::BackendStats jit_before;
-      if (workload.jit != nullptr) jit_before = workload.jit->stats();
       result.run = tuners::run_tuner(*tuner, *workload.backend, spec.budget,
                                      spec.seed, hooks);
-      if (workload.jit != nullptr) {
-        const auto jit_after = workload.jit->stats();
-        result.jit.compile_ms = jit_after.compile_ms - jit_before.compile_ms;
-        result.jit.compiles = jit_after.compiles - jit_before.compiles;
-        result.jit.artifact_cache_hits =
-            jit_after.artifact_cache_hits - jit_before.artifact_cache_hits;
-        result.jit.artifact_cache_misses =
-            jit_after.artifact_cache_misses - jit_before.artifact_cache_misses;
-        result.jit.fallback_evals =
-            jit_after.fallback_evals - jit_before.fallback_evals;
-      }
       // run.cancelled records whether the token actually aborted an
       // evaluation — a session that converged below budget in the same
       // instant shutdown() flipped the token still counts as completed.
@@ -445,10 +381,7 @@ SessionResult TuningService::run_session(const SessionSpec& spec) {
 }
 
 TuningService::Workload& TuningService::workload_for(const SessionSpec& spec) {
-  if (spec.backend != "live" && spec.backend != "replay" &&
-      spec.backend != "jit") {
-    throw std::invalid_argument("unknown session backend: " + spec.backend);
-  }
+  check_backend(spec.backend);
   std::shared_ptr<WorkloadSlot> slot;
   {
     std::lock_guard lock(mutex_);
@@ -509,21 +442,6 @@ void TuningService::build_workload(const SessionSpec& spec,
           workload->benchmark->space(), *dataset);
       workload->dataset = std::move(dataset);
     }
-  } else if (spec.backend == "jit") {
-    const auto* kernel_bench =
-        dynamic_cast<const kernels::KernelBenchmark*>(workload->benchmark.get());
-    if (kernel_bench == nullptr) {
-      throw std::invalid_argument(spec.kernel +
-                                  ": jit sessions need a kernel benchmark");
-    }
-    jit::CompiledBackendOptions jit_options;
-    jit_options.artifact_dir = options_.artifact_dir;
-    jit_options.max_artifacts = options_.artifact_max_entries;
-    jit_options.metrics = metrics_;
-    auto jit_backend = std::make_unique<jit::CompiledKernelBackend>(
-        *kernel_bench, spec.device, std::move(jit_options));
-    workload->jit = jit_backend.get();
-    workload->backend = std::move(jit_backend);
   } else {
     workload->backend =
         std::make_unique<core::LiveBackend>(*workload->benchmark, spec.device);

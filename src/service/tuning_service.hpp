@@ -59,7 +59,6 @@
 #include "core/dataset.hpp"
 #include "io/dataset_repository.hpp"
 #include "io/dataset_view.hpp"
-#include "jit/compiled_backend.hpp"
 #include "obs/metrics.hpp"
 #include "service/session.hpp"
 #include "service/session_log.hpp"
@@ -106,16 +105,9 @@ struct ServiceOptions {
   /// Bytes appended to the journal since its last checkpoint past
   /// which a compacting checkpoint + truncate runs.
   std::uint64_t journal_checkpoint_bytes = 256 * 1024;
-  /// Artifact cache directory for "jit" workloads. "" uses the shared
-  /// per-user directory under the system temp root, which is what makes
-  /// compiles amortize across service restarts and across processes.
-  std::string artifact_dir;
-  /// LRU bound on on-disk jit artifacts per workload cache.
-  std::size_t artifact_max_entries = 256;
-  /// Registry hosting the bat_sessions_*/bat_cache_*/bat_jit_* series;
-  /// null makes a private one. Forwarded into the session journal and
-  /// every jit backend the service builds, so one `tune serve` process
-  /// scrapes as one coherent surface.
+  /// Registry hosting the bat_sessions_*/bat_cache_* series; null
+  /// makes a private one. Forwarded into the session journal, so one
+  /// `tune serve` process scrapes as one coherent surface.
   std::shared_ptr<obs::MetricsRegistry> metrics;
 };
 
@@ -197,11 +189,6 @@ class TuningService {
   /// stats().cross_session_hits() > 0 is the service's raison d'être.
   [[nodiscard]] ShardedMeasurementCache::Stats cache_stats() const;
 
-  /// JIT compile/artifact-cache counters aggregated over every "jit"
-  /// workload built so far (`backends` = number aggregated). All-zero
-  /// when no jit session ever ran.
-  [[nodiscard]] jit::BackendStats jit_stats() const;
-
   [[nodiscard]] std::size_t workers() const noexcept { return pool_.size(); }
   [[nodiscard]] std::size_t sessions_submitted() const;
   [[nodiscard]] std::size_t sessions_active() const;
@@ -218,9 +205,6 @@ class TuningService {
     std::shared_ptr<const core::Dataset> dataset;
     std::shared_ptr<const io::DatasetView> view;
     std::unique_ptr<core::EvaluationBackend> backend;
-    /// Non-owning view of `backend` when it is a CompiledKernelBackend
-    /// ("jit" workloads): where the compile-cost counters come from.
-    jit::CompiledKernelBackend* jit = nullptr;
     std::shared_ptr<ShardedMeasurementCache> cache;
     /// What sessions actually share through: the cache above when
     /// single-node, the cluster's DistributedMeasurementCache (whose
@@ -243,8 +227,7 @@ class TuningService {
   /// The shared submit path. id != 0 marks a tracked session whose
   /// terminal result is journaled (cancellations excepted) before its
   /// future resolves. trace_id != 0 makes the worker record the
-  /// session's spans (evaluate, backend batches, jit compiles, journal
-  /// commits) under that trace.
+  /// session's spans (evaluate, backend batches, journal commits) under that trace.
   [[nodiscard]] std::future<SessionResult> enqueue(SessionSpec spec,
                                                    std::uint64_t id,
                                                    std::uint64_t trace_id);
@@ -283,7 +266,7 @@ class TuningService {
   obs::Counter* finished_failed_ = nullptr;
   obs::Counter* finished_cancelled_ = nullptr;
   obs::Histogram* session_duration_ = nullptr;
-  // Scrape-time bridges over cache_stats()/jit_stats()/queue state.
+  // Scrape-time bridges over cache_stats()/queue state.
   // Declared after everything they read (destroyed first).
   std::vector<obs::CallbackGuard> metric_guards_;
 

@@ -74,6 +74,18 @@ TEST(SessionJson, SpecRejectsUnknownKeysAndWrongTypes) {
                common::JsonTypeError);
   EXPECT_THROW((void)service::spec_from_json(Json::parse("[1,2]")),
                common::JsonTypeError);
+  EXPECT_THROW((void)service::spec_from_json(Json::parse(
+                   R"({"backend": "jit"})")),
+               std::invalid_argument);
+  EXPECT_THROW((void)service::spec_from_json(Json::parse(
+                   R"({"backend": "warp"})")),
+               std::invalid_argument);
+  try {
+    (void)service::spec_from_json(Json::parse(R"({"backend": "jit"})"));
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------- socket-free routes --
@@ -263,7 +275,7 @@ TEST(ApiServer, StatsKeysSurviveTheRegistryMigration) {
   const auto stats = Json::parse(response.body);
 
   for (const auto* key :
-       {"workers", "sessions_submitted", "sessions_active", "cache", "jit",
+       {"workers", "sessions_submitted", "sessions_active", "cache",
         "durability", "http"}) {
     EXPECT_NE(stats.find(key), nullptr) << "missing top-level key " << key;
   }
@@ -278,13 +290,6 @@ TEST(ApiServer, StatsKeysSurviveTheRegistryMigration) {
         "connections_over_capacity"}) {
     EXPECT_NE(stats.at("http").find(key), nullptr)
         << "missing http key " << key;
-  }
-  for (const auto* key :
-       {"backends", "evaluations", "fallback_evals", "compiles",
-        "compile_failures", "compile_ms", "artifact_cache_hits",
-        "artifact_cache_misses", "corrupt_rebuilds", "evictions"}) {
-    EXPECT_NE(stats.at("jit").find(key), nullptr)
-        << "missing jit key " << key;
   }
   ASSERT_TRUE(stats.at("durability").at("enabled").as_bool());
   for (const auto* key :

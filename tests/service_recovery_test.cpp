@@ -14,7 +14,10 @@
 //  * exhaustive fault injection over a real session journal
 //    (tests/fault_util.hpp): every truncation point and every
 //    single-byte flip recovers a strict record prefix of the logical
-//    state, or rejects cleanly (corrupted header).
+//    state, or rejects cleanly (corrupted header);
+//  * journals written while the jit backend existed still boot: their
+//    result records' compile-cost block is discarded, and a pending
+//    jit session re-runs into a failure that names the removal.
 // tools/ci.sh runs this binary under TSan in addition to ASan/UBSan;
 // the end-to-end kill -9 variant of the first bullet lives in
 // tools/ci.sh's durability stage.
@@ -30,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/trace.hpp"
 #include "io/journal.hpp"
 #include "service/session_log.hpp"
 #include "service/tuning_service.hpp"
@@ -550,6 +554,114 @@ TEST(ServiceRecovery, HugeDeclaredTraceLengthRejectsWithoutAllocating) {
   }
   EXPECT_THROW((void)SessionLog::decode_result(payload),
                std::invalid_argument);
+}
+
+// ------------------------------------------ pre-removal jit journals --
+
+/// A result payload in the layout written while the jit backend
+/// existed, framed field by field: the current layout followed by the
+/// 40-byte compile-cost block (compile_ms f64, then compiles, artifact
+/// cache hits, artifact cache misses and fallback evals as u64).
+std::string legacy_result_payload(std::uint64_t id,
+                                  const SessionResult& result) {
+  std::string out;
+  const auto put = [&out](const auto v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(id);
+  put(static_cast<std::uint8_t>(result.status == SessionStatus::kFailed ? 2
+                                                                        : 0));
+  put(static_cast<std::uint8_t>(result.run.cancelled ? 1 : 0));
+  put(std::bit_cast<std::uint64_t>(result.wall_ms));
+  put(static_cast<std::uint32_t>(result.error.size()));
+  out += result.error;
+  put(static_cast<std::uint32_t>(result.run.trace.size()));
+  for (const auto& entry : result.run.trace) {
+    put(entry.index);
+    put(std::bit_cast<std::uint64_t>(entry.objective));
+  }
+  put(std::bit_cast<std::uint64_t>(512.25));  // compile_ms
+  for (const std::uint64_t counter : {3u, 5u, 2u, 1u}) put(counter);
+  return out;
+}
+
+TEST(ServiceRecovery, LegacyJitCostBlockIsDiscardedOtherTailsReject) {
+  const SessionResult result = traced_result(4, 9);
+  const std::string current = SessionLog::encode_result(4, result);
+  const std::string legacy = legacy_result_payload(4, result);
+  ASSERT_EQ(legacy.size(), current.size() + 40);
+
+  const auto [id, decoded] = SessionLog::decode_result(legacy);
+  EXPECT_EQ(id, 4u);
+  EXPECT_EQ(decoded.status, result.status);
+  EXPECT_EQ(decoded.run.cancelled, result.run.cancelled);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded.wall_ms),
+            std::bit_cast<std::uint64_t>(result.wall_ms));
+  expect_same_run(decoded, SessionLog::decode_result(current).second);
+  ASSERT_EQ(decoded.run.trace.size(), result.run.trace.size());
+  for (std::size_t i = 0; i < result.run.trace.size(); ++i) {
+    EXPECT_EQ(decoded.run.trace[i].index, result.run.trace[i].index);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded.run.trace[i].objective),
+              std::bit_cast<std::uint64_t>(result.run.trace[i].objective));
+  }
+
+  // Only an empty remainder or exactly the legacy block is accepted.
+  for (const std::size_t extra : {1u, 35u, 36u, 37u, 39u, 41u, 80u}) {
+    EXPECT_THROW((void)SessionLog::decode_result(current +
+                                                 std::string(extra, '\x01')),
+                 std::invalid_argument)
+        << extra << " trailing bytes";
+  }
+  EXPECT_THROW((void)SessionLog::decode_result(legacy.substr(
+                   0, legacy.size() - 1)),
+               std::invalid_argument);
+}
+
+TEST(ServiceRecovery, LegacyJournalWithPendingJitSessionBootsAndFailsIt) {
+  // A journal as the last build with the jit backend left it: session
+  // 1 (live) completed, its result carrying the cost block; session 2
+  // (jit) acknowledged but never finished.
+  SessionSpec live = grid_specs(1)[0];
+  SessionSpec jit = live;
+  jit.backend = "jit";
+  SessionResult done;
+  done.spec = live;
+  done.status = SessionStatus::kCompleted;
+  done.wall_ms = 3.5;
+  done.run.trace = {{40, 3.25}, {7, 1.5}, {901, 2.0}};
+  done.run.best = core::trace_best(done.run.trace);
+  const std::string dir = fresh_dir("recovery_legacy_jit");
+  testutil::write_file(
+      (fs::path(dir) / "sessions.batjnl").string(),
+      io::journal_header_bytes() +
+          io::frame_journal_record(SessionLog::kSubmitRecord,
+                                   SessionLog::encode_submit(1, live)) +
+          io::frame_journal_record(SessionLog::kSubmitRecord,
+                                   SessionLog::encode_submit(2, jit)) +
+          io::frame_journal_record(SessionLog::kResultRecord,
+                                   legacy_result_payload(1, done)));
+
+  ServiceOptions options;
+  options.workers = 1;
+  options.journal_dir = dir;
+  {
+    TuningService svc(options);
+    EXPECT_EQ(svc.durability_stats().restored_completed, 1u);
+    EXPECT_EQ(svc.durability_stats().recovered_pending, 1u);
+    const SessionResult restored = wait_tracked(svc, 1);
+    expect_same_run(restored, done);
+
+    const SessionResult rerun = wait_tracked(svc, 2);
+    EXPECT_EQ(rerun.status, SessionStatus::kFailed);
+    EXPECT_NE(rerun.error.find("removed"), std::string::npos) << rerun.error;
+    EXPECT_TRUE(rerun.run.trace.empty());
+  }
+  // The failure is terminal and journaled in the current layout: the
+  // next boot restores it rather than re-running it.
+  TuningService svc(options);
+  EXPECT_EQ(svc.durability_stats().restored_completed, 2u);
+  EXPECT_EQ(svc.durability_stats().recovered_pending, 0u);
+  EXPECT_EQ(wait_tracked(svc, 2).status, SessionStatus::kFailed);
 }
 
 TEST(ServiceRecovery, TornTailAfterRealSessionsIsDroppedCleanly) {

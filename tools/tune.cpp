@@ -5,18 +5,14 @@
 // each paper artifact to an invocation):
 //
 //   tune run    --kernel gemm --tuner local --budget 150 --seed 42
-//               [--device 0|RTX_3090] [--backend live|replay|jit]
-//               [--dataset path.csv] [--artifact-dir DIR]
+//               [--device 0|RTX_3090] [--backend live|replay]
+//               [--dataset path.csv]
 //       One session; prints the trace summary and best configuration.
-//       --backend jit evaluates through per-config compiled shared
-//       objects (docs/jit.md) — results identical to live, and the
-//       "jit:" line reports compiles / artifact-cache traffic for the
-//       run (a second run on the same --artifact-dir compiles nothing).
 //
 //   tune grid   --kernels gemm,hotspot --tuners local,annealing,ils
 //               --sessions 16 [--budget 150] [--seed 1000] [--device 0]
-//               [--backend live|replay|jit] [--workers N] [--shards 16]
-//               [--no-shared-cache] [--artifact-dir DIR]
+//               [--backend live|replay] [--workers N] [--shards 16]
+//               [--no-shared-cache]
 //       Round-robins the kernel x tuner combinations into --sessions
 //       concurrent sessions (seeds increment per session) through one
 //       TuningService; reports per-session results plus the sharded
@@ -55,7 +51,7 @@
 //               [--client-rps R [--client-burst B]]
 //               [--group-rps R [--group-burst B] [--group-prefix-bits 24]]
 //               [--force-poll] [--workers N] [--shards 16]
-//               [--dataset-dir DIR] [--artifact-dir DIR]
+//               [--dataset-dir DIR]
 //               [--journal-dir DIR [--journal-retain N]
 //                [--journal-checkpoint-bytes BYTES]]
 //               [--peers h1:p1,h2:p2,... [--peer-timeout-ms 2000]]
@@ -264,7 +260,7 @@ void print_cache_stats(const service::TuningService& svc) {
 
 int cmd_run(const Args& args) {
   args.require_known({"kernel", "tuner", "device", "budget", "seed",
-                      "backend", "dataset", "artifact-dir"});
+                      "backend", "dataset"});
   // With --dataset the kernel defaults to the dataset's own benchmark
   // (mirroring cmd_replay) so the archive is registered against the
   // space it was swept from.
@@ -290,9 +286,7 @@ int cmd_run(const Args& args) {
   spec.device = resolve_device(
       *bench, args.get("device", dataset ? dataset->device_name() : "0"));
 
-  service::ServiceOptions svc_options;
-  svc_options.artifact_dir = args.get("artifact-dir", "");
-  service::TuningService svc(svc_options);
+  service::TuningService svc;
   if (dataset) {
     svc.register_dataset(spec.kernel, spec.device, std::move(*dataset));
     spec.backend = "replay";
@@ -309,20 +303,6 @@ int cmd_run(const Args& args) {
   if (result.status == service::SessionStatus::kFailed) return 1;
   std::printf("distinct evaluations: %zu, wall: %.1fms\n",
               result.run.trace.size(), result.wall_ms);
-  if (spec.backend == "jit") {
-    // Machine-greppable (tools/ci.sh asserts a warm second run shows
-    // compiles=0 with nonzero artifact_cache_hits).
-    const auto jit = svc.jit_stats();
-    std::printf("jit: compiles=%llu compile_failures=%llu "
-                "artifact_cache_hits=%llu artifact_cache_misses=%llu "
-                "fallback_evals=%llu compile_ms=%.1f\n",
-                static_cast<unsigned long long>(jit.compiles),
-                static_cast<unsigned long long>(jit.compile_failures),
-                static_cast<unsigned long long>(jit.artifact_cache_hits),
-                static_cast<unsigned long long>(jit.artifact_cache_misses),
-                static_cast<unsigned long long>(jit.fallback_evals),
-                jit.compile_ms);
-  }
   if (result.run.best) {
     std::printf("best: %.4fms at config index %llu\n",
                 result.run.best->objective,
@@ -344,7 +324,7 @@ int cmd_run(const Args& args) {
 int cmd_grid(const Args& args) {
   args.require_known({"kernels", "tuners", "sessions", "budget", "seed",
                       "device", "backend", "workers", "shards",
-                      "no-shared-cache", "dataset-dir", "artifact-dir"});
+                      "no-shared-cache", "dataset-dir"});
   const auto kernel_names =
       common::split(args.get("kernels", "gemm,hotspot"), ',');
   const auto tuner_names =
@@ -364,7 +344,6 @@ int cmd_grid(const Args& args) {
   // this directory (binary ones zero-copy via mmap) and persist swept
   // datasets back into it.
   options.dataset_dir = args.get("dataset-dir", "");
-  options.artifact_dir = args.get("artifact-dir", "");
   service::TuningService svc(options);
 
   // One device resolution per kernel, not per session.
@@ -409,18 +388,6 @@ int cmd_grid(const Args& args) {
   }
   std::fputs(table.to_string().c_str(), stdout);
   print_cache_stats(svc);
-  const auto jit = svc.jit_stats();
-  if (jit.backends != 0) {
-    std::printf("jit: compiles=%llu compile_failures=%llu "
-                "artifact_cache_hits=%llu artifact_cache_misses=%llu "
-                "fallback_evals=%llu compile_ms=%.1f\n",
-                static_cast<unsigned long long>(jit.compiles),
-                static_cast<unsigned long long>(jit.compile_failures),
-                static_cast<unsigned long long>(jit.artifact_cache_hits),
-                static_cast<unsigned long long>(jit.artifact_cache_misses),
-                static_cast<unsigned long long>(jit.fallback_evals),
-                jit.compile_ms);
-  }
   return failed ? 1 : 0;
 }
 
@@ -652,7 +619,6 @@ int cmd_info(const Args& args) {
 int cmd_serve(const Args& args) {
   args.require_known({"port", "host", "http-workers", "max-connections",
                       "max-body", "workers", "shards", "dataset-dir",
-                      "artifact-dir",
                       "event-loops", "admission-capacity", "retry-after",
                       "client-rps", "client-burst", "group-rps",
                       "group-burst", "group-prefix-bits", "force-poll",
@@ -691,7 +657,7 @@ int cmd_serve(const Args& args) {
   }
 
   // One process-wide registry: cluster node, service (and through it
-  // journal + jit backends), HTTP transport and API server all record
+  // the journal), HTTP transport and API server all record
   // here, so GET /v1/metrics is a single scrape of everything.
   auto metrics = std::make_shared<obs::MetricsRegistry>();
 
@@ -738,7 +704,6 @@ int cmd_serve(const Args& args) {
   service_options.workers = args.get_size("workers", 0);
   service_options.cache_shards = args.get_size("shards", 16);
   service_options.dataset_dir = args.get("dataset-dir", "");
-  service_options.artifact_dir = args.get("artifact-dir", "");
   service_options.cluster = node.get();
   service_options.journal_dir = args.get("journal-dir", "");
   service_options.journal_retain_completed =
@@ -1074,15 +1039,6 @@ int cmd_remote_top(const Args& args) {
                   cache.at("evaluations").as_uint()),
               static_cast<unsigned long long>(
                   cache.at("cross_session_hits").as_uint()));
-  const auto& jit = stats.at("jit");
-  std::printf("jit:      backends=%llu compiles=%llu cache_hits=%llu "
-              "failures=%llu\n",
-              static_cast<unsigned long long>(jit.at("backends").as_uint()),
-              static_cast<unsigned long long>(jit.at("compiles").as_uint()),
-              static_cast<unsigned long long>(
-                  jit.at("artifact_cache_hits").as_uint()),
-              static_cast<unsigned long long>(
-                  jit.at("compile_failures").as_uint()));
   const auto& http = stats.at("http");
   std::printf("http:     requests=%llu open=%llu rate_limited=%llu "
               "shed=%llu\n",
@@ -1197,7 +1153,7 @@ void print_usage() {
       "          get: --id N\n"
       "          health: build id, uptime, ready|draining\n"
       "          top: one-shot operational summary (sessions, cache,\n"
-      "               jit, http, journal)\n"
+      "               http, journal)\n"
       "          trace: --id N; span timeline of a tracked session\n"
       "see docs/reproducing-the-paper.md for figure/table recipes,\n"
       "docs/dataset-format.md for the binary archive layout,\n"
