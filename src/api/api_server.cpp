@@ -6,7 +6,6 @@
 #include <string_view>
 #include <utility>
 
-#include "cluster/cluster_node.hpp"
 #include "common/json.hpp"
 #include "kernels/all_kernels.hpp"
 #include "obs/build_info.hpp"
@@ -84,7 +83,6 @@ net::ServerOptions with_api_policy(
 
 ApiServer::ApiServer(service::TuningService& service, ApiOptions options)
     : service_(service),
-      cluster_(options.cluster),
       metrics_(options.metrics ? std::move(options.metrics)
                                : std::make_shared<obs::MetricsRegistry>()),
       http_(with_api_policy(std::move(options.http), metrics_),
@@ -173,13 +171,6 @@ net::HttpResponse ApiServer::handle(const net::HttpRequest& request) {
       return error_json(405, "use GET on /v1/spaces");
     }
     return get_spaces();
-  }
-  constexpr std::string_view kPeersPrefix = "/v1/peers/";
-  if (path.compare(0, kPeersPrefix.size(), kPeersPrefix) == 0) {
-    if (!cluster_) {
-      return error_json(404, "not clustered (start with --peers)");
-    }
-    return cluster_->handle_peers(request);
   }
   return error_json(404, "no such endpoint: " + path);
 }
@@ -357,7 +348,6 @@ net::HttpResponse ApiServer::get_stats() const {
   object.emplace("cache", Json(std::move(cache_json)));
   object.emplace("durability", Json(std::move(durability_json)));
   object.emplace("http", Json(std::move(http_json)));
-  if (cluster_) object.emplace("cluster", cluster_->stats_json());
   return json_response(200, Json(std::move(object)));
 }
 

@@ -9,9 +9,8 @@
 // response bytes arrived, so a request is never replayed after the
 // server may have acted on it mid-response.
 //
-// Scope: the test suite, the `tune remote` CLI, the loopback
-// throughput bench and the cluster peer protocol. IPv4 literal hosts +
-// DNS-free by design; throws std::runtime_error on connect/send/recv
+// Scope: the test suite, the `tune remote` CLI and the loopback
+// throughput bench. IPv4 literal hosts + DNS-free by design; throws std::runtime_error on connect/send/recv
 // failure, timeouts and malformed responses (a client, unlike a
 // server, has a caller to throw to).
 //
@@ -20,17 +19,33 @@
 // io_timeout_ms maps to SO_RCVTIMEO/SO_SNDTIMEO, so a peer that
 // accepted but never answers fails the request instead of parking the
 // thread forever. 0 = no bound (the pre-timeout behavior, kept as the
-// default for interactive CLI use); peer traffic passes finite values.
+// default for interactive CLI use); `tune remote --any-node` passes
+// finite values to its probes so a dead node is skipped, not waited on.
 //
 // Thread-safety: none — one HttpClient per thread (it is one socket).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "net/http.hpp"
 
 namespace bat::net {
+
+/// A server address as given on a command line ("127.0.0.1:8080").
+struct HostPort {
+  std::string host;  // IPv4 literal, e.g. "127.0.0.1"
+  std::uint16_t port = 0;
+
+  [[nodiscard]] std::string to_string() const {
+    return host + ":" + std::to_string(port);
+  }
+};
+
+/// Parses "host:port"; throws std::invalid_argument on malformed input
+/// (missing host or colon, non-numeric, zero or out-of-range port).
+[[nodiscard]] HostPort parse_host_port(std::string_view text);
 
 struct ClientOptions {
   /// Milliseconds to wait for connect() to complete; 0 = no bound.

@@ -88,9 +88,6 @@ RateLimiter::RateLimiter(RateLimitOptions options, Clock clock,
       metrics_->counter("bat_ratelimit_denied_total",
                         "Requests denied by the rate limiter, by scope",
                         {{"scope", "group"}});
-  exempt_total_ = metrics_->counter(
-      "bat_ratelimit_exempt_total",
-      "Requests admitted via the exemption predicate without charge");
   tracked_clients_gauge_ = metrics_->callback(
       "bat_ratelimit_tracked_clients",
       "Client token buckets currently tracked",
@@ -123,10 +120,6 @@ void RateLimiter::evict_idle_clients(std::uint64_t now_ns) {
 
 Admission RateLimiter::admit(std::uint32_t client_ipv4, double cost) {
   if (!options_.enabled()) return {};
-  if (options_.exempt && options_.exempt(client_ipv4)) {
-    exempt_total_->add();
-    return {};
-  }
   const std::uint64_t now = clock_();
   std::lock_guard lock(mutex_);
 

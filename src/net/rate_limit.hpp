@@ -82,14 +82,6 @@ struct RateLimitOptions {
   int group_prefix_bits = 24;
   /// Client-bucket map cap; idle (full) buckets are evicted beyond it.
   std::size_t max_tracked_clients = 65536;
-  /// Clients for which admit() always allows and charges nothing —
-  /// checked before either bucket. Installed by `tune serve` for
-  /// loopback + peer-listed addresses when clustering, so intra-cluster
-  /// claim/publish/relay traffic (which legitimately bursts far beyond
-  /// any human client) never trips the /24 group quota that a
-  /// multi-node loopback cluster would otherwise share. Unset (the
-  /// default) preserves the old behavior: every address is policed.
-  std::function<bool(std::uint32_t ipv4)> exempt;
 
   [[nodiscard]] bool enabled() const noexcept {
     return per_client_rps > 0.0 || per_group_rps > 0.0;
@@ -142,7 +134,6 @@ class RateLimiter {
   obs::Counter* allowed_total_;
   obs::Counter* denied_client_total_;
   obs::Counter* denied_group_total_;
-  obs::Counter* exempt_total_;
   // Declared last: unregisters before mutex_/clients_ die.
   obs::CallbackGuard tracked_clients_gauge_;
 };

@@ -8,11 +8,11 @@
 //     collide even across multiple services in one process;
 //   * propagation is a thread-local (TraceScope): the service worker
 //     enters the session's scope, and every instrumented layer it
-//     calls into — backend batches, journal commits, cluster peer
-//     RPCs — picks the id up implicitly. No signature grows a trace
-//     parameter. The known limit: work handed to *other* threads
-//     (run_inline batch fan-out over the global pool) is timed from
-//     the requesting thread instead — the span covers the wait, which
+//     calls into — backend batches, journal commits — picks the id
+//     up implicitly. No signature grows a trace parameter. The known
+//     limit: work handed to *other* threads (run_inline batch fan-out
+//     over the global pool) is timed from the requesting thread
+//     instead — the span covers the wait, which
 //     is what the session actually spent;
 //   * spans land in one process-wide bounded ring (trace_buffer()),
 //     lock-striped so concurrent recorders hit different mutexes;
@@ -44,7 +44,7 @@ struct Span {
   std::uint64_t start_ns = 0;  // monotonic, since process start
   std::uint64_t end_ns = 0;
   std::string name;    // static site name ("evaluate", "journal.result")
-  std::string detail;  // free-form ("kernel=pnpoly", "peer=2")
+  std::string detail;  // free-form ("configs=8", "GET /v1/stats")
 };
 
 /// Bounded lock-striped span ring. Capacity is split evenly over the

@@ -70,40 +70,6 @@ class ShardedMeasurementCache final : public core::SharedMeasurementCache {
   [[nodiscard]] std::optional<core::Measurement> wait(
       core::ConfigIndex index) override;
 
-  /// Non-claiming peek: the measurement if ready, nullopt otherwise.
-  /// Does not count as a lookup/hit.
-  [[nodiscard]] std::optional<core::Measurement> lookup(
-      core::ConfigIndex index) const;
-
-  // --- peer-tolerant variants (cluster forwarding) -----------------
-  // publish()/abandon() assert protocol discipline for in-process
-  // callers (a violation there is a bug). Cross-node traffic races
-  // against peer failure — a relay frame can arrive after a local
-  // claimant already evaluated, an abandon sweep can cross a late
-  // publish RPC in flight — so the distributed layer uses these
-  // idempotent forms instead of crashing the node on a lost race.
-
-  enum class ProbeState { kReady, kPending, kAbsent };
-  struct Probe {
-    ProbeState state = ProbeState::kAbsent;
-    core::Measurement measurement;  // meaningful only when kReady
-  };
-  /// Non-claiming state inspection; does not count as a lookup/hit.
-  [[nodiscard]] Probe probe(core::ConfigIndex index) const;
-
-  /// Insert-or-fill a ready measurement regardless of current state:
-  /// absent -> inserted ready, pending -> filled (waiters wake), ready
-  /// -> no-op (first publish wins). Counts an evaluation only when the
-  /// entry transitions to ready. Returns true on transition.
-  bool force_publish(core::ConfigIndex index, const core::Measurement& m);
-
-  /// abandon() that tolerates absent/ready entries (no-op, returns
-  /// false); true when a pending claim was actually released.
-  bool try_abandon(core::ConfigIndex index);
-
-  [[nodiscard]] std::size_t num_shards() const noexcept {
-    return shards_.size();
-  }
   /// Number of ready (published) measurements.
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] Stats stats() const;

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "cluster/cluster_node.hpp"
 #include "common/log.hpp"
 #include "core/backend.hpp"
 #include "core/runner.hpp"
@@ -353,7 +352,7 @@ SessionResult TuningService::run_session(const SessionSpec& spec) {
       auto& workload = workload_for(spec);
       const auto tuner = tuners::make_tuner(spec.tuner);
       core::EvaluationHooks hooks;
-      if (options_.share_cache) hooks.shared_cache = workload.shared.get();
+      if (options_.share_cache) hooks.shared_cache = workload.cache.get();
       hooks.cancel = &cancel_;
       result.run = tuners::run_tuner(*tuner, *workload.backend, spec.budget,
                                      spec.seed, hooks);
@@ -446,20 +445,8 @@ void TuningService::build_workload(const SessionSpec& spec,
     workload->backend =
         std::make_unique<core::LiveBackend>(*workload->benchmark, spec.device);
   }
-  if (options_.cluster) {
-    // Cluster-wide exactly-once: the node hands out the workload's
-    // DistributedMeasurementCache (building or adopting the local
-    // shard — peer RPCs may have created it before any local session).
-    auto dist = options_.cluster->cache_for(
-        spec.kernel, spec.device, spec.backend,
-        workload->benchmark->space().compiled_shared());
-    workload->cache = dist->local();
-    workload->shared = std::move(dist);
-  } else {
-    workload->cache = std::make_shared<ShardedMeasurementCache>(
-        workload->benchmark->space().compiled_shared(), options_.cache_shards);
-    workload->shared = workload->cache;
-  }
+  workload->cache = std::make_shared<ShardedMeasurementCache>(
+      workload->benchmark->space().compiled_shared(), options_.cache_shards);
   // Publish under the service mutex: cache_stats() reads slot->workload
   // concurrently (sessions rendezvousing on the slot synchronize via
   // the once-flag instead and never need the lock).

@@ -64,10 +64,6 @@
 #include "service/session_log.hpp"
 #include "service/sharded_cache.hpp"
 
-namespace bat::cluster {
-class ClusterNode;
-}  // namespace bat::cluster
-
 namespace bat::service {
 
 struct ServiceOptions {
@@ -85,12 +81,6 @@ struct ServiceOptions {
   /// (mmap), and service-swept datasets persist back into it. "" keeps
   /// the repository memory-only (the pre-io behavior).
   std::string dataset_dir;
-  /// Joined cluster node (borrowed; must outlive the service). When
-  /// set, per-workload caches come from ClusterNode::cache_for — the
-  /// cluster-wide exactly-once layer — instead of a node-local
-  /// ShardedMeasurementCache. Null (default) keeps the single-node
-  /// behavior unchanged.
-  cluster::ClusterNode* cluster = nullptr;
   /// Durable session journal directory. "" (default) keeps the
   /// tracked-session registry memory-only (a restart forgets it); set,
   /// every submit_tracked id and terminal result is journaled
@@ -206,10 +196,6 @@ class TuningService {
     std::shared_ptr<const io::DatasetView> view;
     std::unique_ptr<core::EvaluationBackend> backend;
     std::shared_ptr<ShardedMeasurementCache> cache;
-    /// What sessions actually share through: the cache above when
-    /// single-node, the cluster's DistributedMeasurementCache (whose
-    /// local shard is `cache`) when clustered.
-    std::shared_ptr<core::SharedMeasurementCache> shared;
   };
   /// Lazily-built workload slot: the map entry is created cheaply under
   /// the service mutex, the (possibly slow: replay sweeps) build runs

@@ -3,9 +3,8 @@
 // boundary) or corrupted (each byte flipped), so a test can assert the
 // reader's recovery contract — "a strict prefix or a clean rejection" —
 // over the *entire* fault space instead of a sampled one. The flip is
-// XOR 0x5a (alternating bits), the same perturbation
-// tests/cluster_test.cpp uses against BATDFR01 frames: it never maps a
-// byte to itself, so every position is genuinely disturbed.
+// XOR 0x5a (alternating bits): it never maps a byte to itself, so
+// every position is genuinely disturbed.
 #pragma once
 
 #include <cstddef>

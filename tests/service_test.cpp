@@ -172,40 +172,6 @@ TEST(ShardedMeasurementCache, ClaimThenAbandonUnderContention) {
   EXPECT_EQ(cache.size(), kKeys);
 }
 
-// The peer-tolerant variants the cluster layer leans on: probe never
-// claims, force_publish fills without a prior claim (remote publish
-// landing at the owner), try_abandon tolerates the entry being gone
-// (dead-claimant sweep racing a late abandon).
-TEST(ShardedMeasurementCache, PeerTolerantVariants) {
-  ShardedMeasurementCache cache(nullptr, 4);
-  using ProbeState = ShardedMeasurementCache::ProbeState;
-
-  EXPECT_EQ(cache.probe(5).state, ProbeState::kAbsent);
-  ASSERT_EQ(cache.claim(5).state, SharedMeasurementCache::ClaimState::kClaimed);
-  EXPECT_EQ(cache.probe(5).state, ProbeState::kPending);
-
-  // force_publish fulfils the pending claim (remote claimant publishing
-  // back) and reports the transition; a duplicate does not.
-  EXPECT_TRUE(cache.force_publish(5, core::Measurement::valid(1.0)));
-  EXPECT_FALSE(cache.force_publish(5, core::Measurement::valid(2.0)));
-  const auto probe = cache.probe(5);
-  ASSERT_EQ(probe.state, ProbeState::kReady);
-  EXPECT_DOUBLE_EQ(probe.measurement.time_ms, 1.0);  // first write wins
-
-  // force_publish with no claim at all (relay/unclaimed publish).
-  EXPECT_TRUE(cache.force_publish(9, core::Measurement::valid(3.0)));
-  EXPECT_EQ(cache.probe(9).state, ProbeState::kReady);
-
-  // try_abandon: released only while pending; absent and ready are
-  // tolerated no-ops (unlike abandon(), which BAT_EXPECTS a claim).
-  EXPECT_FALSE(cache.try_abandon(5));   // ready: stays
-  EXPECT_FALSE(cache.try_abandon(77));  // absent: no-op
-  ASSERT_EQ(cache.claim(6).state, SharedMeasurementCache::ClaimState::kClaimed);
-  EXPECT_TRUE(cache.try_abandon(6));
-  EXPECT_EQ(cache.probe(6).state, ProbeState::kAbsent);
-  EXPECT_EQ(cache.claim(6).state, SharedMeasurementCache::ClaimState::kClaimed);
-}
-
 // ------------------------------------------------------- service sessions --
 
 std::vector<SessionSpec> overlapping_specs(std::size_t sessions) {

@@ -54,7 +54,6 @@
 //               [--dataset-dir DIR]
 //               [--journal-dir DIR [--journal-retain N]
 //                [--journal-checkpoint-bytes BYTES]]
-//               [--peers h1:p1,h2:p2,... [--peer-timeout-ms 2000]]
 //               [--log-level debug|info|warn|error|off]
 //       Runs the HTTP/1.1 JSON API (docs/http-api.md) over one
 //       TuningService until SIGINT/SIGTERM. --port 0 picks an
@@ -69,11 +68,9 @@
 //       nothing that was acknowledged; once --journal-checkpoint-bytes
 //       have been appended since the last compaction, the journal is
 //       rewritten with the --journal-retain newest completed sessions
-//       and every pending one. --peers joins a static tuning
-//       cluster (docs/cluster.md): the list is the full membership,
-//       identical on every node, and must include this node's own
-//       host:port (so --port must be explicit). Peer and loopback
-//       traffic is exempt from the rate limiter.
+//       and every pending one. Several servers share no state: each
+//       is an independent node, and because every backend is
+//       deterministic they answer any session identically.
 //
 //   tune remote <run|submit|get|stats|spaces|health|top|trace>
 //               --server host:port[,...]
@@ -92,10 +89,9 @@
 //                /v1/healthz + /v1/stats.
 //         trace  --id N: span timeline of a tracked session
 //                (GET /v1/sessions/<id>/trace).
-//       --any-node: --server may list several cluster nodes; each is
-//       probed (bounded timeouts) and the first live one is used —
-//       the distributed cache makes any node's answer identical.
-#include <arpa/inet.h>
+//       --any-node: --server may list several nodes; each is probed
+//       (bounded timeouts) and the first live one is used — sessions
+//       are deterministic, so any node's answer is identical.
 
 #include <charconv>
 #include <csignal>
@@ -112,7 +108,6 @@
 #include <vector>
 
 #include "api/api_server.hpp"
-#include "cluster/cluster_node.hpp"
 #include "common/json.hpp"
 #include "common/statistics.hpp"
 #include "common/string_util.hpp"
@@ -623,8 +618,7 @@ int cmd_serve(const Args& args) {
                       "client-rps", "client-burst", "group-rps",
                       "group-burst", "group-prefix-bits", "force-poll",
                       "journal-dir", "journal-retain",
-                      "journal-checkpoint-bytes", "peers",
-                      "peer-timeout-ms", "log-level"});
+                      "journal-checkpoint-bytes", "log-level"});
   // Set the log level before anything can log (journal recovery below
   // emits info lines; a --log-level error boot should not).
   if (args.has("log-level")) {
@@ -656,55 +650,15 @@ int cmd_serve(const Args& args) {
                                 std::to_string(port));
   }
 
-  // One process-wide registry: cluster node, service (and through it
-  // the journal), HTTP transport and API server all record
-  // here, so GET /v1/metrics is a single scrape of everything.
+  // One process-wide registry: service (and through it the journal),
+  // HTTP transport and API server all record here, so GET /v1/metrics
+  // is a single scrape of everything.
   auto metrics = std::make_shared<obs::MetricsRegistry>();
-
-  // Cluster membership (optional). The node is declared *before* the
-  // service and server so it is destroyed after both: sessions hold
-  // DistributedMeasurementCache pointers into it, and HTTP workers
-  // dispatch /v1/peers/* into it until server.stop() returns.
-  std::unique_ptr<cluster::ClusterNode> node;
-  const std::string peers_flag = args.get("peers", "");
-  if (!peers_flag.empty()) {
-    cluster::ClusterOptions cluster_options;
-    for (const auto& part : common::split(peers_flag, ',')) {
-      cluster_options.members.push_back(cluster::parse_peer_address(part));
-    }
-    // Self is matched by the listen address. An ephemeral --port 0
-    // can't appear in a static membership list every node shares.
-    if (port == 0) {
-      throw std::invalid_argument(
-          "--peers requires an explicit --port (the membership list "
-          "must name this node's real listen address)");
-    }
-    cluster_options.self_index = cluster_options.members.size();
-    for (std::size_t i = 0; i < cluster_options.members.size(); ++i) {
-      const auto& m = cluster_options.members[i];
-      if (m.host == host && m.port == port) {
-        cluster_options.self_index = i;
-        break;
-      }
-    }
-    if (cluster_options.self_index == cluster_options.members.size()) {
-      throw std::invalid_argument("--peers list must include this node (" +
-                                  host + ":" + std::to_string(port) + ")");
-    }
-    const int peer_timeout =
-        static_cast<int>(args.get_size("peer-timeout-ms", 2000));
-    cluster_options.connect_timeout_ms = peer_timeout;
-    cluster_options.io_timeout_ms = peer_timeout;
-    cluster_options.cache_shards = args.get_size("shards", 16);
-    cluster_options.metrics = metrics;
-    node = std::make_unique<cluster::ClusterNode>(std::move(cluster_options));
-  }
 
   service::ServiceOptions service_options;
   service_options.workers = args.get_size("workers", 0);
   service_options.cache_shards = args.get_size("shards", 16);
   service_options.dataset_dir = args.get("dataset-dir", "");
-  service_options.cluster = node.get();
   service_options.journal_dir = args.get("journal-dir", "");
   service_options.journal_retain_completed =
       args.get_size("journal-retain", 1024);
@@ -730,7 +684,6 @@ int cmd_serve(const Args& args) {
   }
 
   api::ApiOptions api_options;
-  api_options.cluster = node.get();
   api_options.metrics = metrics;
   api_options.http.host = host;
   api_options.http.port = static_cast<std::uint16_t>(port);
@@ -755,42 +708,14 @@ int cmd_serve(const Args& args) {
       args.get_double("group-burst", 0.0);
   api_options.http.rate_limit.group_prefix_bits =
       static_cast<int>(args.get_size("group-prefix-bits", 24));
-  if (node) {
-    // Peer RPC traffic must never be policed: a throttled claim RPC
-    // would surface as a (spurious) peer failure and flap health.
-    // Exempt loopback plus every member's resolved IPv4; everything
-    // else still pays the configured buckets.
-    std::vector<std::uint32_t> peer_ips;
-    for (std::size_t i = 0; i < node->peers().size(); ++i) {
-      in_addr addr{};
-      const auto& peer_host = node->peers().address(i).host;
-      if (inet_pton(AF_INET, peer_host.c_str(), &addr) == 1) {
-        peer_ips.push_back(ntohl(addr.s_addr));
-      }
-    }
-    api_options.http.rate_limit.exempt =
-        [peer_ips = std::move(peer_ips)](std::uint32_t ipv4) {
-          if ((ipv4 >> 24) == 127u) return true;
-          for (const auto peer : peer_ips) {
-            if (peer == ipv4) return true;
-          }
-          return false;
-        };
-  }
   api::ApiServer server(svc, api_options);
   server.start();
-  if (node) node->start();
 
   std::printf("tune serve: listening on http://%s:%u "
               "(http workers=%zu, event loops=%zu, service workers=%zu)\n",
               api_options.http.host.c_str(), server.port(),
               api_options.http.workers, api_options.http.event_loops,
               svc.workers());
-  if (node) {
-    std::printf("tune serve: cluster node %zu of %zu (peers: %s)\n",
-                node->peers().self_index(), node->peers().size(),
-                peers_flag.c_str());
-  }
   if (api_options.http.rate_limit.enabled()) {
     std::printf("tune serve: rate limit client=%.1f rps (burst %.1f), "
                 "group=%.1f rps (/%d)\n",
@@ -810,11 +735,8 @@ int cmd_serve(const Args& args) {
   // so in-flight sessions (HTTP workers blocked in run_inline) stop at
   // their next batch boundary — stopping the server first would join
   // those workers only after their sessions ran to natural completion.
-  // The cluster node goes last: stopping it earlier would strand peers
-  // mid-lookup while local sessions still hold its distributed caches.
   svc.shutdown();
   server.stop();
-  if (node) node->stop();
   std::printf("http: %llu connections, %llu requests, %llu rate-limited, "
               "%llu shed, %llu over-capacity\n",
               static_cast<unsigned long long>(
@@ -834,17 +756,17 @@ int cmd_serve(const Args& args) {
 
 /// "--server host:port[,host:port...]" -> a connected-on-demand client.
 /// With --any-node (and a comma list), each candidate is probed with
-/// finite timeouts and the first responsive node wins — cluster caches
-/// are global, so any node answers any session identically.
+/// finite timeouts and the first responsive node wins — sessions are
+/// deterministic, so any node answers any session identically.
 net::HttpClient remote_client(const Args& args) {
   const std::string server = args.get("server", "");
   if (server.empty()) {
     throw std::invalid_argument(
         "tune remote requires --server <host:port>[,host:port...]");
   }
-  std::vector<cluster::PeerAddress> candidates;
+  std::vector<net::HostPort> candidates;
   for (const auto& part : common::split(server, ',')) {
-    candidates.push_back(cluster::parse_peer_address(part));
+    candidates.push_back(net::parse_host_port(part));
   }
   if (!args.has("any-node")) {
     if (candidates.size() != 1) {
@@ -1143,7 +1065,6 @@ void print_usage() {
       "          (the journal compacts to the N newest completed\n"
       "           sessions, default 1024, once BYTES have been appended\n"
       "           since its last compaction, default 262144)\n"
-      "          [--peers h1:p1,h2:p2,... [--peer-timeout-ms 2000]]\n"
       "          [--log-level debug|info|warn|error|off]\n"
       "  remote  <run|submit|get|stats|spaces|health|top|trace>\n"
       "          --server host:port[,...]\n"
